@@ -3,7 +3,7 @@
 The partition function of the open asymmetric exclusion process with
 injection rate alpha, ejection rate beta, left-hop rate q and fugacity y is
 computed here as an exact polynomial in a = 1/alpha, b = 1/beta, y and q,
-by eight independent routes (closed formula, transfer matrices, two normal
+by nine independent routes (closed formula, transfer matrices, two normal
 orderings, two permutation statistics, permutation tableaux, Laguerre
 histories, weighted path families), together with the bijections, moment
 formulas and classical-sequence specializations tying them together.
@@ -74,7 +74,6 @@ from .bijections import (
     francon_viennot_inverse,
 )
 from .ansatz import (
-    build_scaled_DE,
     hatted_coeffs,
     normal_order,
     state_weight,

@@ -4,12 +4,16 @@ The stationary weights of the open exclusion process are generated by
 operators D and E with D E - q E D = D + E and boundary vectors that the
 scaled tridiagonal matrices below realize explicitly:
 
-    (1-q) D:  diagonal 1 + bt q^i, superdiagonal 1 - at bt q^i
-    (1-q) E:  diagonal 1 + at q^i, subdiagonal   1 - q^(i+1)
+    (1-q) D:  M[i, i] = 1 + bt q^i,  M[i, i+1] = 1 - at bt q^i
+    (1-q) E:  M[i, i] = 1 + at q^i,  M[i, i-1] = 1 - q^i
 
 with at = (1-q)a - 1, bt = (1-q)b - 1, and <W| = |V> = first coordinate.
-Truncation to dimension N+1 is lossless for length-N words because the
-matrices are tridiagonal and the walk starts and ends at index 0.
+Each operator is stored as its three diagonals, functions of the row
+index, so no dimension is ever fixed.  A product <W| t_1 ... t_N |V> is
+read right to left from |V>: the vector index is the height of a Motzkin
+path, the subdiagonal entry M[h+1, h] weighs an up step, the diagonal a
+level step and the superdiagonal entry M[h-1, h] a down step, and
+paths.motzkin_sum adds up the paths that return to index 0.
 
 Independently of any representation, the normal ordering of (yD + E)^N in
 the free algebra gives coefficients c[N][i, j] with
@@ -23,10 +27,11 @@ ballot-difference kernel M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
+from .paths import StepWeights, Weight, motzkin_sum
 from .polyring import (
     ALPHA_TILDE,
     BETA_TILDE,
@@ -41,86 +46,49 @@ from .polyring import (
 from .qtools import binomial, q_binomial, touchard_M
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    dim: int
-    entries: tuple[tuple[MPoly, ...], ...]
+class Tridiagonal(NamedTuple):
+    """A tridiagonal operator by its diagonals, each a function of the row
+    index i: sub(i) = M[i, i-1], diag(i) = M[i, i], sup(i) = M[i, i+1]."""
 
-    def __getitem__(self, ij: tuple[int, int]) -> MPoly:
-        return self.entries[ij[0]][ij[1]]
+    sub: Weight | None
+    diag: Weight
+    sup: Weight | None
 
-
-def build_scaled_DE(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Truncated matrices for (1-q)D and (1-q)E, boundary parameters expanded."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    d_rows = []
-    e_rows = []
-    for i in range(dim):
-        d_row = [ZERO] * dim
-        e_row = [ZERO] * dim
-        d_row[i] = ONE + BETA_TILDE * Q**i
-        e_row[i] = ONE + ALPHA_TILDE * Q**i
-        if i + 1 < dim:
-            d_row[i + 1] = ONE - ALPHA_TILDE * BETA_TILDE * Q**i
-        if i >= 1:
-            e_row[i - 1] = ONE - Q**i
-        d_rows.append(tuple(d_row))
-        e_rows.append(tuple(e_row))
-    return (
-        TruncatedOperator(dim, tuple(d_rows)),
-        TruncatedOperator(dim, tuple(e_rows)),
-    )
+    def steps(self) -> StepWeights:
+        """Kernel weights of v -> M v: index h moves to h+1, h or h-1."""
+        sub, sup = self.sub, self.sup
+        return (
+            None if sub is None else (lambda h: sub(h + 1)),
+            self.diag,
+            None if sup is None else (lambda h: sup(h - 1)),
+        )
 
 
-def mat_mul(m1: TruncatedOperator, m2: TruncatedOperator) -> TruncatedOperator:
-    dim = m1.dim
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = ZERO
-            for k in range(dim):
-                if m1.entries[i][k] and m2.entries[k][j]:
-                    acc = acc + m1.entries[i][k] * m2.entries[k][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return TruncatedOperator(dim, tuple(rows))
-
-
-def mat_combine(c1, m1: TruncatedOperator, c2, m2: TruncatedOperator) -> TruncatedOperator:
-    dim = m1.dim
-    rows = tuple(
-        tuple(c1 * m1.entries[i][j] + c2 * m2.entries[i][j] for j in range(dim))
-        for i in range(dim)
-    )
-    return TruncatedOperator(dim, rows)
-
-
-def _first_row_power(m: TruncatedOperator, N: int) -> MPoly:
-    # <W| M^N |V> by iterated row-vector products; cheaper than matrix powers
-    vec = [ONE] + [ZERO] * (m.dim - 1)
-    for _ in range(N):
-        nxt = []
-        for j in range(m.dim):
-            acc = ZERO
-            for i in range(max(0, j - 1), min(m.dim, j + 2)):
-                if vec[i] and m.entries[i][j]:
-                    acc = acc + vec[i] * m.entries[i][j]
-            nxt.append(acc)
-        vec = nxt
-    return vec[0]
+SCALED_D = Tridiagonal(
+    sub=None,
+    diag=lambda i: ONE + BETA_TILDE * monomial(1, eq=i),
+    sup=lambda i: ONE - ALPHA_TILDE * BETA_TILDE * monomial(1, eq=i),
+)
+SCALED_E = Tridiagonal(
+    sub=lambda i: ONE - monomial(1, eq=i),
+    diag=lambda i: ONE + ALPHA_TILDE * monomial(1, eq=i),
+    sup=None,
+)
 
 
 @lru_cache(maxsize=None)
 def zn_matrix(N: int) -> MPoly:
     """Partition function as <W| (yD + E)^N |V> on the explicit matrices."""
-    ds, es = build_scaled_DE(N + 1)
-    m = mat_combine(Y, ds, ONE, es)
-    return exact_div_pow_one_minus_q(_first_row_power(m, N), N)
+    m = Tridiagonal(
+        sub=SCALED_E.sub,
+        diag=lambda i: Y * SCALED_D.diag(i) + SCALED_E.diag(i),
+        sup=lambda i: Y * SCALED_D.sup(i),
+    )
+    steps = m.steps()
+    return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps), N)
 
 
-def state_weight(word: str, dim: int | None = None) -> MPoly:
+def state_weight(word: str) -> MPoly:
     """Unnormalized stationary weight of an occupation word over {D, E}.
 
     D marks an occupied site, E an empty one; the weight is
@@ -131,21 +99,8 @@ def state_weight(word: str, dim: int | None = None) -> MPoly:
     if any(ch not in "DE" for ch in word):
         raise ValueError("word must be over the alphabet {D, E}")
     N = len(word)
-    if dim is None:
-        dim = N + 1
-    ds, es = build_scaled_DE(dim)
-    vec = [ONE] + [ZERO] * (dim - 1)
-    for ch in word:
-        m = ds if ch == "D" else es
-        nxt = []
-        for j in range(dim):
-            acc = ZERO
-            for i in range(max(0, j - 1), min(dim, j + 2)):
-                if vec[i] and m.entries[i][j]:
-                    acc = acc + vec[i] * m.entries[i][j]
-            nxt.append(acc)
-        vec = nxt
-    return exact_div_pow_one_minus_q(vec[0], N)
+    steps = {"D": SCALED_D.steps(), "E": SCALED_E.steps()}
+    return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps[word[N - 1 - k]]), N)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,11 @@ Three layers live here:
 * Plain Dyck paths with returns/peaks statistics, Fine paths, and the
   q=0 Dyck-pair evaluation of the partition function.
 
-Weighted sums are computed by height-indexed dynamic programming; explicit
-enumeration is reserved for the bijection tests.
+Every weighted sum (families P, R, B, their cardinalities, J-fraction
+moments, and the transfer matrices of the ansatz module) is one call of
+motzkin_sum, a height-indexed dynamic program over Motzkin paths that
+drops every height above the number of steps left; explicit enumeration
+is reserved for the bijection tests.
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ from typing import Callable, Iterator
 from .polyring import (
     ALPHA_TILDE,
     BETA_TILDE,
+    A,
     MPoly,
     ONE,
-    Q,
     Y,
     ZERO,
+    coeff_of,
     exact_div_pow_one_minus_q,
     exact_div_var,
     monomial,
@@ -316,21 +320,59 @@ def enumerate_B_star(n: int) -> Iterator[tuple[Step, ...]]:
     return _enumerate_family(n, "B*")
 
 
-def enumerate_R(N: int, n: int) -> Iterator[tuple[Step, ...]]:
-    return _enumerate_family(N, "R", q_levels=n)
+# Weighted sums.  Every sum below is one call of motzkin_sum; a family's
+# step weights are its tag alternatives summed per (direction, height), so
+# the split up steps of a starred family add up to the 1 - q^(h+1) of the
+# unstarred one and starred and unstarred sums coincide.
+
+Weight = Callable[[int], MPoly]
+StepWeights = tuple[Weight | None, Weight | None, Weight | None]
 
 
-def enumerate_B(n: int) -> Iterator[tuple[Step, ...]]:
-    return _enumerate_family(n, "B")
+def motzkin_sum(N: int, step: Callable[[int], StepWeights]) -> MPoly:
+    """Total weight of the N-step Motzkin paths from height 0 back to 0.
+
+    step(k) gives the (up, level, down) weights of the k-th step, each a
+    function of the height the step starts from, or None where there is no
+    such step.  A path's weight is the product of its step weights.  Heights
+    above the number of steps left are dropped, since no path returns to 0
+    from there, and zero products are not stored.
+    """
+    if N < 0:
+        raise ValueError("path length must be >= 0")
+    cur: dict[int, MPoly] = {0: ONE}
+    for k in range(N):
+        left = N - k - 1
+        nxt: dict[int, MPoly] = {}
+        for dh, weight in zip((1, 0, -1), step(k)):
+            if weight is None:
+                continue
+            for h, w in cur.items():
+                g = h + dh
+                if 0 <= g <= left:
+                    val = w * weight(h)
+                    if val:
+                        nxt[g] = nxt[g] + val if g in nxt else val
+        cur = nxt
+    return cur.get(0, ZERO)
 
 
-# Weighted sums by dynamic programming.  The split up-step alternatives of a
-# starred family sum to 1 - q^(h+1), so starred and unstarred sums coincide
-# and the DP can use the summed weight per (direction, height).
+def _family_steps(family: str, weigh: Callable[[str, tuple, int], MPoly]) -> StepWeights:
+    """Kernel weights of a family: at height h, the sum of weigh(d, tag, h)
+    over the admissible tags, each q-power level step also marked by a.
+    Families R and R* contain no a, so there the a-degree counts those steps."""
 
+    def direction(d: str) -> Weight:
+        def weight(h: int) -> MPoly:
+            total = ZERO
+            for tag in _family_options(family, d, h):
+                w = weigh(d, tag, h)
+                total = total + (w * A if tag[0] == "qpow" else w)
+            return total
 
-def _up_weight(h: int) -> MPoly:
-    return ONE - monomial(1, eq=h + 1)
+        return weight
+
+    return direction(UP), direction(LEVEL), direction(DOWN)
 
 
 @lru_cache(maxsize=None)
@@ -338,64 +380,22 @@ def sum_R(N: int, n: int) -> MPoly:
     """Sum of weights over the R (equivalently R*) family."""
     if not 0 <= n <= N:
         raise ValueError("need 0 <= n <= N")
-    # state: (height, q-power level steps so far) -> accumulated weight
-    cur: dict[tuple[int, int], MPoly] = {(0, 0): ONE}
-    for _ in range(N):
-        nxt: dict[tuple[int, int], MPoly] = {}
-
-        def put(key, val):
-            nxt[key] = nxt.get(key, ZERO) + val
-
-        for (h, c), w in cur.items():
-            put((h + 1, c), w * _up_weight(h))
-            put((h, c), w * (ONE + Y))
-            if c < n:
-                put((h, c + 1), w * monomial(1, eq=h))
-            if h > 0:
-                put((h - 1, c), w * Y)
-        cur = nxt
-    return cur.get((0, n), ZERO)
+    steps = _family_steps("R", step_weight)
+    return coeff_of(motzkin_sum(N, lambda k: steps), "a", n)
 
 
 @lru_cache(maxsize=None)
 def sum_B(n: int) -> MPoly:
     """Sum of weights over the B (equivalently B*) family."""
-    level = ALPHA_TILDE + Y * BETA_TILDE
-    down = -(Y * ALPHA_TILDE * BETA_TILDE)
-    cur: dict[int, MPoly] = {0: ONE}
-    for _ in range(n):
-        nxt: dict[int, MPoly] = {}
-
-        def put(h, val):
-            nxt[h] = nxt.get(h, ZERO) + val
-
-        for h, w in cur.items():
-            put(h + 1, w * _up_weight(h))
-            put(h, w * level * monomial(1, eq=h))
-            if h > 0:
-                put(h - 1, w * down * monomial(1, eq=h - 1))
-        cur = nxt
-    return cur.get(0, ZERO)
+    steps = _family_steps("B", step_weight)
+    return motzkin_sum(n, lambda k: steps)
 
 
 @lru_cache(maxsize=None)
 def zn_paths(N: int) -> MPoly:
     """Partition function as the family-P weighted sum divided by (1-q)^N."""
-    level = (ONE + Y) + (ALPHA_TILDE + Y * BETA_TILDE) * Q**0
-    cur: dict[int, MPoly] = {0: ONE}
-    for _ in range(N):
-        nxt: dict[int, MPoly] = {}
-
-        def put(h, val):
-            nxt[h] = nxt.get(h, ZERO) + val
-
-        for h, w in cur.items():
-            put(h + 1, w * _up_weight(h))
-            put(h, w * ((ONE + Y) + (ALPHA_TILDE + Y * BETA_TILDE) * monomial(1, eq=h)))
-            if h > 0:
-                put(h - 1, w * (Y - Y * ALPHA_TILDE * BETA_TILDE * monomial(1, eq=h - 1)))
-        cur = nxt
-    return exact_div_pow_one_minus_q(cur.get(0, ZERO), N)
+    steps = _family_steps("P", step_weight)
+    return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps), N)
 
 
 def enumerate_core(length: int, n_levels: int) -> Iterator[tuple[Step, ...]]:
@@ -442,21 +442,11 @@ def core_sum(length: int, n_levels: int) -> MPoly:
 
 def count_family(length: int, family: str, q_levels: int | None = None) -> int:
     """Unweighted cardinality (each discrete weight alternative counted once)."""
-    cur: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(length):
-        nxt: dict[tuple[int, int], int] = {}
-        for (h, c), m in cur.items():
-            for d in (UP, LEVEL, DOWN):
-                if d == DOWN and h == 0:
-                    continue
-                for tag in _family_options(family, d, h):
-                    nc = c + (1 if d == LEVEL and tag[0] == "qpow" else 0)
-                    if q_levels is not None and nc > q_levels:
-                        continue
-                    key = (h + _DH[d], nc)
-                    nxt[key] = nxt.get(key, 0) + m
-        cur = nxt
-    return sum(m for (h, c), m in cur.items() if h == 0 and (q_levels is None or c == q_levels))
+    steps = _family_steps(family, lambda d, tag, h: ONE)
+    counts = motzkin_sum(length, lambda k: steps)
+    if q_levels is not None:
+        counts = coeff_of(counts, "a", q_levels)
+    return sum(c for _, c in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +469,8 @@ class MomentRecurrence:
 
 
 def jfraction_moment(rec: MomentRecurrence, N: int) -> MPoly:
-    cur: dict[int, MPoly] = {0: ONE}
-    for _ in range(N):
-        nxt: dict[int, MPoly] = {}
-
-        def put(h, val):
-            if val:
-                nxt[h] = nxt.get(h, ZERO) + val
-
-        for h, w in cur.items():
-            put(h + 1, w)
-            put(h, w * rec.b(h))
-            if h > 0:
-                put(h - 1, w * rec.lam(h))
-        cur = nxt
-    return cur.get(0, ZERO)
+    steps = (lambda h: ONE, rec.b, rec.lam)
+    return motzkin_sum(N, lambda k: steps)
 
 
 # ---------------------------------------------------------------------------

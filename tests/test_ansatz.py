@@ -1,11 +1,10 @@
 from itertools import product
 
 from pasep.ansatz import (
-    build_scaled_DE,
+    SCALED_D,
+    SCALED_E,
     hatted_closed_form,
     hatted_coeffs,
-    mat_combine,
-    mat_mul,
     normal_order,
     state_weight,
     zn_hatted,
@@ -21,37 +20,48 @@ from pasep.polyring import (
     Y,
     ZERO,
     canonical_string,
+    exact_div_pow_one_minus_q,
     monomial,
 )
 
 
+def dense(m, k):
+    """The leading k x k block of a tridiagonal operator, as nested lists."""
+    rows = [[ZERO] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = m.diag(i)
+        if m.sub is not None and i >= 1:
+            rows[i][i - 1] = m.sub(i)
+        if m.sup is not None and i + 1 < k:
+            rows[i][i + 1] = m.sup(i)
+    return rows
+
+
 def test_dim_one_entries():
-    ds, es = build_scaled_DE(1)
-    assert ds[0, 0] == (ONE - Q) * B
-    assert es[0, 0] == (ONE - Q) * A
+    assert SCALED_D.diag(0) == (ONE - Q) * B
+    assert SCALED_E.diag(0) == (ONE - Q) * A
 
 
 def test_tridiagonal():
-    ds, es = build_scaled_DE(5)
+    # (1-q)D is upper and (1-q)E lower bidiagonal, with no zero entry on
+    # the diagonals they do have
+    assert SCALED_D.sub is None and SCALED_E.sup is None
     for i in range(5):
-        for j in range(5):
-            if abs(i - j) > 1:
-                assert ds[i, j] == ZERO and es[i, j] == ZERO
-            if j == i - 1:
-                assert ds[i, j] == ZERO
-            if j == i + 1:
-                assert es[i, j] == ZERO
+        assert SCALED_D.diag(i) and SCALED_D.sup(i)
+        assert SCALED_E.diag(i) and SCALED_E.sub(i + 1)
 
 
 def test_commutation_on_inner_block():
     # Ds Es - q Es Ds = (1-q)(Ds + Es) away from the truncation boundary
     for dim in range(2, 7):
-        ds, es = build_scaled_DE(dim)
-        lhs = mat_combine(ONE, mat_mul(ds, es), -Q, mat_mul(es, ds))
-        rhs = mat_combine(ONE - Q, ds, ONE - Q, es)
+        ds, es = dense(SCALED_D, dim), dense(SCALED_E, dim)
         for i in range(dim - 1):
             for j in range(dim - 1):
-                assert lhs[i, j] == rhs[i, j], (dim, i, j)
+                lhs = ZERO
+                for k in range(dim):
+                    lhs = lhs + ds[i][k] * es[k][j] - Q * es[i][k] * ds[k][j]
+                rhs = (ONE - Q) * (ds[i][j] + es[i][j])
+                assert lhs == rhs, (dim, i, j)
 
 
 def test_zn_matrix_matches_closed():
@@ -108,7 +118,16 @@ def test_states_sum_to_partition_function():
 
 
 def test_state_weight_truncation_independent():
+    # <W| t_1 ... t_N |V> on dense matrices of dimension N + 3, larger than
+    # any index a length-N product reaches, so the kernel's pruning of
+    # heights must leave the weight unchanged
     for N in range(7):
+        k = N + 3
+        mats = {"D": dense(SCALED_D, k), "E": dense(SCALED_E, k)}
         for word in product("DE", repeat=N):
-            w = "".join(word)
-            assert state_weight(w, dim=N + 1) == state_weight(w, dim=N + 3)
+            row = [ONE] + [ZERO] * (k - 1)
+            for ch in word:
+                m = mats[ch]
+                row = [sum((row[i] * m[i][j] for i in range(k)), ZERO) for j in range(k)]
+            want = exact_div_pow_one_minus_q(row[0], N)
+            assert state_weight("".join(word)) == want, word

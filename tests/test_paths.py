@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pasep.ansatz import zn_matrix
 from pasep.formulas import (
     B_formula,
     R_formula,
@@ -167,6 +168,21 @@ def test_prefix_core_factorization():
 def test_count_family_matches_enumeration():
     for N in range(5):
         assert count_family(N, "P") == sum(1 for _ in enumerate_PN(N))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        sum_B,
+        zn_paths,
+        zn_matrix,
+        lambda N: jfraction_moment(shifted_z_recurrence(), N),
+    ],
+    ids=["sum_B", "zn_paths", "zn_matrix", "jfraction_moment"],
+)
+def test_negative_length_is_rejected(build):
+    with pytest.raises(ValueError):
+        build(-1)
 
 
 def test_jfraction_trivial_and_gaussian():
