@@ -17,9 +17,10 @@ paths.motzkin_sum adds up the paths that return to index 0.
 
 Independently of any representation, the normal ordering of (yD + E)^N in
 the free algebra gives coefficients c[N][i, j] with
-(yD+E)^N = sum c[N][i,j] E^i D^j, and the partition function is obtained by
-replacing E^i D^j with a^i b^j.  A second, rook-placement flavored route
-normal orders (qy Dh + q Eh)^k for the shifted operators
+(yD+E)^N = sum c[N][i,j] E^i D^j, built from c[N-1] by right multiplication
+with yD + E under D E = q E D + D + E alone; the partition function is
+obtained by replacing E^i D^j with a^i b^j.  A second, rook-placement
+flavored route normal orders (qy Dh + q Eh)^k for the shifted operators
 Dh = ((q-1) D + I)/q, Eh = ((q-1) E + I)/q whose coefficients d[k][i, j]
 satisfy a three-term recurrence solved by q-binomial times the
 ballot-difference kernel M.
@@ -28,7 +29,6 @@ ballot-difference kernel M.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from .paths import StepWeights, Weight, motzkin_sum
@@ -107,51 +107,46 @@ def state_weight(word: str) -> MPoly:
 # Normal ordering in the free algebra
 # ---------------------------------------------------------------------------
 
-_nf_cache: dict[str, dict[tuple[int, int], MPoly]] = {}
 
+@lru_cache(maxsize=None)
+def _d_power_e(j: int) -> dict[tuple[int, int], MPoly]:
+    """Normal form of D^j E as a map (i, k) -> coefficient of E^i D^k.
 
-def _normal_form(word: str) -> dict[tuple[int, int], MPoly]:
-    """Normal form of a word over {D, E} under D E -> q E D + D + E.
-
-    Returns a map (i, j) -> coefficient polynomial in q such that the word
-    equals sum over (i, j) of coeff * E^i D^j.  Rewriting the leftmost D E
-    strictly decreases the inversion count, so this terminates; results are
-    memoized on the word.
+    D^j E = D^(j-1) (q E D + D + E) = q (D^(j-1) E) D + D^j + D^(j-1) E, so
+    every term is E D^k or D^k and the coefficients are polynomials in q.
     """
-    cached = _nf_cache.get(word)
-    if cached is not None:
-        return cached
-    pos = word.find("DE")
-    if pos < 0:
-        res = {(word.count("E"), word.count("D")): ONE}
-    else:
-        u, v = word[:pos], word[pos + 2 :]
-        res = {}
-        for key, c in _normal_form(u + "ED" + v).items():
-            res[key] = res.get(key, ZERO) + Q * c
-        for sub in (u + "D" + v, u + "E" + v):
-            for key, c in _normal_form(sub).items():
-                res[key] = res.get(key, ZERO) + c
-        res = {key: c for key, c in res.items() if c}
-    _nf_cache[word] = res
-    return res
+    if j == 0:
+        return {(1, 0): ONE}
+    out = {(0, j): ONE}
+    for (i, k), c in _d_power_e(j - 1).items():
+        out[(i, k + 1)] = out.get((i, k + 1), ZERO) + Q * c
+        out[(i, k)] = out.get((i, k), ZERO) + c
+    return out
 
 
 @lru_cache(maxsize=None)
 def normal_order(N: int) -> dict[tuple[int, int], MPoly]:
     """Coefficients c[N][i, j] of (yD + E)^N = sum c E^i D^j.
 
-    Computed over the free algebra by expanding into the 2^N words and
-    rewriting each word; the coefficients are polynomials in y and q with
+    Computed over the free algebra by right multiplication,
+    E^i D^j (yD + E) = y E^i D^(j+1) + E^i (D^j E), with D^j E normal
+    ordered by _d_power_e; the coefficients are polynomials in y and q with
     non-negative integer coefficients.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if N == 0:
+        return {(0, 0): ONE}
     out: dict[tuple[int, int], MPoly] = {}
-    for letters in product("ED", repeat=N):
-        word = "".join(letters)
-        yk = monomial(1, ey=word.count("D"))
-        for key, c in _normal_form(word).items():
-            out[key] = out.get(key, ZERO) + yk * c
-    return {key: c for key, c in out.items() if c}
+
+    def add(key, val):
+        out[key] = out.get(key, ZERO) + val
+
+    for (i, j), c in normal_order(N - 1).items():
+        add((i, j + 1), Y * c)
+        for (a, k), f in _d_power_e(j).items():
+            add((i + a, k), f * c)
+    return out
 
 
 @lru_cache(maxsize=None)

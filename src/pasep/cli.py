@@ -25,7 +25,16 @@ from .polyring import canonical_string, eval_rational
 
 CAP_DEFAULT = 9
 SLOW_METHODS = {"perm-wex", "perm-asc", "tableaux", "histories"}
+EXIT_USAGE = 2
 EXIT_CAP = 3
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of --n; its ValueError makes argparse exit 2."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
 
 
 def _parse_point(text: str) -> dict[str, Fraction]:
@@ -33,9 +42,13 @@ def _parse_point(text: str) -> dict[str, Fraction]:
     for piece in text.split(","):
         name, _, value = piece.partition("=")
         name = name.strip()
-        if name not in point or not value:
-            raise ValueError(f"bad assignment {piece!r}")
-        point[name] = Fraction(value.strip())
+        try:
+            number = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            number = None
+        if name not in point or number is None:
+            raise ValueError(f"bad assignment {piece!r} in --eval")
+        point[name] = number
     return point
 
 
@@ -47,9 +60,15 @@ def _cmd_zn(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CAP
-    z = verify.METHODS[args.method](args.n)
+    point = None
     if args.eval is not None:
-        point = _parse_point(args.eval)
+        try:
+            point = _parse_point(args.eval)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    z = verify.METHODS[args.method](args.n)
+    if point is not None:
         print(eval_rational(z, **point))
     else:
         print(canonical_string(z))
@@ -146,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zn = sub.add_parser("zn", help="compute the partition function")
-    p_zn.add_argument("--n", type=int, required=True)
+    p_zn.add_argument("--n", type=non_negative_int, required=True)
     p_zn.add_argument("--method", choices=sorted(verify.METHODS), default="closed")
     p_zn.add_argument("--eval", metavar="a=..,b=..,y=..,q=..", default=None)
     p_zn.add_argument("--force", action="store_true")
@@ -163,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["permutation", "tableau", "laguerre", "pathset-P", "pathset-R", "pathset-B"],
         required=True,
     )
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=non_negative_int, required=True)
     p_enum.add_argument("--format", choices=["jsonl"], default="jsonl")
     p_enum.add_argument("--force", action="store_true")
     p_enum.set_defaults(func=_cmd_enumerate)
@@ -172,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_special.add_argument(
         "--what", choices=["q-eulerian", "q-stirling", "fine", "tangent-secant"], required=True
     )
-    p_special.add_argument("--n", type=int, required=True)
+    p_special.add_argument("--n", type=non_negative_int, required=True)
     p_special.set_defaults(func=_cmd_special)
 
     p_state = sub.add_parser("state", help="stationary weight of an occupation word")

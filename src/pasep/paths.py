@@ -163,6 +163,8 @@ def zn_histories(N: int) -> MPoly:
     a^(type 2 steps right of every type 1 step) * b^(type 1 steps - 1) * weight;
     every nonempty history opens with a type 1 step, so the -1 is safe.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc: dict[tuple[int, int, int, int], int] = {}
     for steps in enumerate_laguerre(N + 1):
         flags = history_type_flags(steps)

@@ -132,6 +132,8 @@ def zn_perm_wexcr(N: int) -> MPoly:
     Sum over the symmetric group on N+1 letters of
     a^u b^v y^(wex-1) q^cr.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc: dict[tuple[int, int, int, int], int] = {}
     for sigma in enumerate_permutations(N + 1):
         st = stats(sigma)
@@ -147,6 +149,8 @@ def zn_perm_asc312(N: int) -> MPoly:
     Sum over the symmetric group on N+1 letters of
     a^(s-1) b^(t-1) y^(asc-1) q^(31-2).
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc: dict[tuple[int, int, int, int], int] = {}
     for sigma in enumerate_permutations(N + 1):
         st = stats(sigma)

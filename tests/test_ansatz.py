@@ -73,6 +73,14 @@ def test_zn_matrix_matches_closed():
 def test_normal_order_base():
     c = normal_order(1)
     assert c == {(0, 1): Y, (1, 0): ONE}
+    # (yD + E)^2 = y^2 D^2 + y DE + y ED + E^2 with DE = q ED + D + E
+    assert normal_order(2) == {
+        (0, 2): Y * Y,
+        (1, 1): Y * (ONE + Q),
+        (0, 1): Y,
+        (1, 0): Y,
+        (2, 0): ONE,
+    }
 
 
 def test_normal_order_nonnegative_and_assembles():

@@ -34,9 +34,23 @@ def test_zn_cap_violation(capsys):
 
 
 def test_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run(["zn", "--n", "x"])
-    assert exc.value.code == 2
+    for argv in (
+        ["zn", "--n", "x"],
+        ["zn", "--n", "-1"],
+        ["enumerate", "--object", "laguerre", "--n", "-1"],
+        ["special", "--what", "q-eulerian", "--n", "-2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("point", ["a=x", "a=1/0", "c=1"])
+def test_zn_bad_eval_is_a_usage_error(capsys, point):
+    assert run(["zn", "--n", "2", "--eval", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and point in captured.err
 
 
 def test_enumerate_laguerre(capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pasep.ansatz import zn_matrix
+from pasep.ansatz import normal_order, zn_hatted, zn_matrix, zn_normal
 from pasep.formulas import (
     B_formula,
     R_formula,
@@ -37,7 +37,7 @@ from pasep.paths import (
     zn_histories,
     zn_paths,
 )
-from pasep.perms import zn_perm_wexcr
+from pasep.perms import zn_perm_asc312, zn_perm_wexcr
 from pasep.polyring import (
     ALPHA_TILDE,
     BETA_TILDE,
@@ -52,6 +52,7 @@ from pasep.polyring import (
     monomial,
     substitute,
 )
+from pasep.tableaux import zn_tableaux
 
 FIG1_HISTORY = (
     (UP, 1, 0), (UP, 1, 1), (LEVEL, 0, 0), (UP, 1, 0), (LEVEL, 1, 3),
@@ -177,8 +178,29 @@ def test_count_family_matches_enumeration():
         zn_paths,
         zn_matrix,
         lambda N: jfraction_moment(shifted_z_recurrence(), N),
+        zn_closed,
+        normal_order,
+        zn_normal,
+        zn_hatted,
+        zn_perm_wexcr,
+        zn_perm_asc312,
+        zn_tableaux,
+        zn_histories,
     ],
-    ids=["sum_B", "zn_paths", "zn_matrix", "jfraction_moment"],
+    ids=[
+        "sum_B",
+        "zn_paths",
+        "zn_matrix",
+        "jfraction_moment",
+        "zn_closed",
+        "normal_order",
+        "zn_normal",
+        "zn_hatted",
+        "zn_perm_wexcr",
+        "zn_perm_asc312",
+        "zn_tableaux",
+        "zn_histories",
+    ],
 )
 def test_negative_length_is_rejected(build):
     with pytest.raises(ValueError):
