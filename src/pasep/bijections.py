@@ -44,7 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .paths import DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH
+from .paths import (
+    DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH, _q_levels, is_motzkin_walk,
+    motzkin_walks,
+)
 from .perms import Perm, inverse
 
 
@@ -249,7 +252,7 @@ def combine_paths(h1: tuple[Step, ...], h2: tuple[Step, ...]) -> tuple[Step, ...
     product weight; the product is again a single admissible tag because
     q^h' * (q^i - q^(i+1)) = q^(h'+i) - q^(h'+i+1).
     """
-    q_level_count = sum(1 for d, tag in h1 if d == LEVEL and tag[0] == "qpow")
+    q_level_count = _q_levels(h1)
     if q_level_count != len(h2):
         raise LengthMismatch(
             f"B* path length {len(h2)} != {q_level_count} q-power level steps"
@@ -331,41 +334,18 @@ L2 = "L2"  # second horizontal kind, forbidden at height 0
 _BDH = {UP: 1, LEVEL: 0, L2: 0, DOWN: -1}
 
 
+def _bicolor_options(h: int) -> tuple[tuple[str, int], ...]:
+    if h == 0:
+        return (UP, 1), (LEVEL, 0)
+    return (UP, 1), (LEVEL, 0), (L2, 0), (DOWN, -1)
+
+
 def is_valid_bicolor(steps: tuple[str, ...]) -> bool:
-    h = 0
-    for s in steps:
-        if s not in _BDH:
-            return False
-        if s == L2 and h == 0:
-            return False
-        h += _BDH[s]
-        if h < 0:
-            return False
-    return h == 0
+    return is_motzkin_walk(steps, _bicolor_options)
 
 
 def enumerate_bicolor(n: int) -> Iterator[tuple[str, ...]]:
-    steps: list[str] = []
-
-    def rec(h: int, remaining: int):
-        if remaining == 0:
-            if h == 0:
-                yield tuple(steps)
-            return
-        if h > remaining:
-            return
-        for s in (UP, LEVEL, L2, DOWN):
-            if s == L2 and h == 0:
-                continue
-            if s == DOWN and h == 0:
-                continue
-            if s == UP and h + 1 > remaining - 1:
-                continue
-            steps.append(s)
-            yield from rec(h + _BDH[s], remaining - 1)
-            steps.pop()
-
-    yield from rec(0, n)
+    return motzkin_walks(n, _bicolor_options)
 
 
 _DOUBLING = {UP: (UP, UP), LEVEL: (UP, DOWN), L2: (DOWN, UP), DOWN: (DOWN, DOWN)}

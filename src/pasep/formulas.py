@@ -34,7 +34,7 @@ from .polyring import (
     monomial,
     substitute,
 )
-from .qtools import binomial, q_binomial, q_int, q_pochhammer_eval
+from .qtools import binomial, motzkin_prefix_gf, q_binomial, q_int, q_pochhammer_eval
 
 
 class SingularPoint(ArithmeticError):
@@ -54,15 +54,9 @@ def R_formula(N: int, n: int) -> MPoly:
         raise ValueError("need 0 <= n <= N")
     acc = ZERO
     for i in range((N - n) // 2 + 1):
-        inner: dict[tuple[int, int, int, int], int] = {}
-        for j in range(N - n - 2 * i + 1):
-            c = binomial(N, j) * binomial(N, n + 2 * i + j) - binomial(N, j - 1) * binomial(
-                N, n + 2 * i + j + 1
-            )
-            if c:
-                inner[(j, 0, 0, 0)] = c
         sign = -1 if i % 2 else 1
-        acc = acc + monomial(sign, ey=i, eq=i * (i + 1) // 2) * q_binomial(n + i, i) * MPoly(inner)
+        term = monomial(sign, ey=i, eq=i * (i + 1) // 2) * q_binomial(n + i, i)
+        acc = acc + term * motzkin_prefix_gf(N, n + 2 * i)
     return acc
 
 
@@ -109,15 +103,10 @@ def zn_cas1(N: int) -> MPoly:
     acc = ZERO
     M = N + 1
     for k in range(M + 1):
-        inner1: dict[tuple[int, int, int, int], int] = {}
-        for j in range(M - k + 1):
-            c = binomial(M, j) * binomial(M, j + k) - binomial(M, j - 1) * binomial(M, j + k + 1)
-            if c:
-                inner1[(j, 0, 0, 0)] = c
         inner2 = ZERO
         for i in range(k + 1):
             inner2 = inner2 + monomial(1, ey=i, eq=i * (k + 1 - i))
-        term = MPoly(inner1) * inner2
+        term = motzkin_prefix_gf(M, k) * inner2
         acc = acc + (term if k % 2 == 0 else -term)
     return exact_div_var(exact_div_pow_one_minus_q(acc, N + 1), "y", 1)
 
@@ -431,14 +420,7 @@ def idbinl_check(N: int, n: int, i: int) -> bool:
         if not c:
             continue
         lhs = lhs + monomial(c, ey=k - i) * (ONE + Y) ** (N - n - 2 * k)
-    rhs: dict[tuple[int, int, int, int], int] = {}
-    for j in range(max(0, N - n - 2 * i) + 1):
-        c = binomial(N, j) * binomial(N, n + 2 * i + j) - binomial(N, j - 1) * binomial(
-            N, n + 2 * i + j + 1
-        )
-        if c:
-            rhs[(j, 0, 0, 0)] = c
-    return lhs == MPoly(rhs)
+    return lhs == motzkin_prefix_gf(N, n + 2 * i)
 
 
 def qbinom_lemma_lower(m: int, l: int) -> bool:

@@ -31,15 +31,19 @@ Three layers live here:
 Every weighted sum (families P, R, B, their cardinalities, J-fraction
 moments, and the transfer matrices of the ansatz module) is one call of
 motzkin_sum, a height-indexed dynamic program over Motzkin paths that
-drops every height above the number of steps left; explicit enumeration
-is reserved for the bijection tests.
+drops every height above the number of steps left.  Every explicit path
+(Laguerre histories, families P/R*/B*, core, Dyck and bicolor paths) is
+enumerated by motzkin_walks, a backtracking generator with the same
+pruning, and histories, family paths and bicolor paths are checked by
+is_motzkin_walk; both read the steps allowed at each height from one
+options function per kind of path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .polyring import (
     ALPHA_TILDE,
@@ -74,60 +78,25 @@ class LengthMismatch(ValueError):
 LaguerreStep = tuple[str, int, int]  # (direction, delta, i)
 
 
+# Cached because is_valid_history asks for them at every step; one entry
+# per height, and a history of n steps never climbs above n // 2.
+@lru_cache(maxsize=None)
+def _laguerre_options(h: int) -> tuple[tuple[LaguerreStep, int], ...]:
+    return (
+        *[((UP, 1, i), 1) for i in range(h + 1)],
+        *[((LEVEL, 1, i), 0) for i in range(h + 1)],
+        *[((LEVEL, 0, i), 0) for i in range(h)],
+        *[((DOWN, 0, i), -1) for i in range(h)],
+    )
+
+
 def is_valid_history(steps: tuple[LaguerreStep, ...]) -> bool:
-    h = 0
-    for d, delta, i in steps:
-        if d == UP:
-            if not (delta == 1 and 0 <= i <= h):
-                return False
-        elif d == LEVEL:
-            if delta == 1:
-                if not 0 <= i <= h:
-                    return False
-            elif not 0 <= i <= h - 1:
-                return False
-        elif d == DOWN:
-            if not (delta == 0 and 0 <= i <= h - 1):
-                return False
-        else:
-            return False
-        h += _DH[d]
-        if h < 0:
-            return False
-    return h == 0
+    return is_motzkin_walk(steps, _laguerre_options)
 
 
 def enumerate_laguerre(n: int) -> Iterator[tuple[LaguerreStep, ...]]:
-    """Every Laguerre history of n steps, by height-bounded backtracking."""
-    steps: list[LaguerreStep] = []
-
-    def rec(h: int, remaining: int):
-        if remaining == 0:
-            if h == 0:
-                yield tuple(steps)
-            return
-        if h > remaining:
-            return
-        if h + 1 <= remaining - 1:
-            for i in range(h + 1):
-                steps.append((UP, 1, i))
-                yield from rec(h + 1, remaining - 1)
-                steps.pop()
-        for i in range(h + 1):
-            steps.append((LEVEL, 1, i))
-            yield from rec(h, remaining - 1)
-            steps.pop()
-        for i in range(h):
-            steps.append((LEVEL, 0, i))
-            yield from rec(h, remaining - 1)
-            steps.pop()
-        if h >= 1:
-            for i in range(h):
-                steps.append((DOWN, 0, i))
-                yield from rec(h - 1, remaining - 1)
-                steps.pop()
-
-    yield from rec(0, n)
+    """Every Laguerre history of n steps."""
+    return motzkin_walks(n, _laguerre_options)
 
 
 def history_weight(steps: tuple[LaguerreStep, ...]) -> MPoly:
@@ -267,46 +236,27 @@ def _family_options(family: str, d: str, h: int) -> list[tuple]:
     return [("negab",)]
 
 
+def _family_walk(family: str) -> Options:
+    return lambda h: [
+        ((d, tag), dh) for d, dh in _DH.items() for tag in _family_options(family, d, h)
+    ]
+
+
+def _q_levels(steps: tuple[Step, ...]) -> int:
+    return sum(1 for d, tag in steps if d == LEVEL and tag[0] == "qpow")
+
+
 def is_valid_family_path(steps: tuple[Step, ...], family: str, q_levels: int | None = None) -> bool:
-    h = 0
-    count = 0
-    for d, tag in steps:
-        if d not in _DH or tag not in _family_options(family, d, h):
-            return False
-        if d == LEVEL and tag[0] == "qpow":
-            count += 1
-        h += _DH[d]
-        if h < 0:
-            return False
-    if h != 0:
-        return False
-    return q_levels is None or count == q_levels
+    return is_motzkin_walk(steps, _family_walk(family)) and (
+        q_levels is None or _q_levels(steps) == q_levels
+    )
 
 
 def _enumerate_family(length: int, family: str, q_levels: int | None = None) -> Iterator[tuple[Step, ...]]:
-    steps: list[Step] = []
-
-    def rec(h: int, remaining: int, count: int):
-        if remaining == 0:
-            if h == 0 and (q_levels is None or count == q_levels):
-                yield tuple(steps)
-            return
-        if h > remaining:
-            return
-        for d in (UP, LEVEL, DOWN):
-            if d == UP and h + 1 > remaining - 1:
-                continue
-            if d == DOWN and h == 0:
-                continue
-            for tag in _family_options(family, d, h):
-                nc = count + (1 if d == LEVEL and tag[0] == "qpow" else 0)
-                if q_levels is not None and nc > q_levels:
-                    continue
-                steps.append((d, tag))
-                yield from rec(h + _DH[d], remaining - 1, nc)
-                steps.pop()
-
-    yield from rec(0, length, 0)
+    walks = motzkin_walks(length, _family_walk(family))
+    if q_levels is None:
+        return walks
+    return (p for p in walks if _q_levels(p) == q_levels)
 
 
 def enumerate_PN(N: int) -> Iterator[tuple[Step, ...]]:
@@ -359,6 +309,58 @@ def motzkin_sum(N: int, step: Callable[[int], StepWeights]) -> MPoly:
     return cur.get(0, ZERO)
 
 
+Options = Callable[[int], Iterable[tuple[object, int]]]
+
+
+def motzkin_walks(N: int, options: Options) -> Iterator[tuple]:
+    """Every N-step path from height 0 back to 0, as a tuple of step labels.
+
+    options(h) lists the (label, dh) steps allowed from height h, in output
+    order.  As in motzkin_sum, a step is taken only when it lands at a height
+    from 0 up to the number of steps left.  No path of N steps climbs above
+    N // 2, so options is called once for each height up to there.
+    """
+    if N < 0:
+        raise ValueError("path length must be >= 0")
+    if N == 0:
+        return iter([()])
+    # table[h]: (label, height after the step) for each step from h that stays >= 0
+    table = [
+        [(label, h + dh) for label, dh in options(h) if h + dh >= 0] for h in range(N // 2 + 1)
+    ]
+    steps: list = []
+
+    def walk(h: int, left: int):
+        left -= 1
+        for label, g in table[h]:
+            if g <= left:
+                steps.append(label)
+                # the last step yields here: no generator is made per path
+                if left:
+                    yield from walk(g, left)
+                else:
+                    yield tuple(steps)
+                steps.pop()
+
+    return walk(0, N)
+
+
+def is_motzkin_walk(steps: Iterable, options: Options) -> bool:
+    """True when each step is among options(h) at the height h it starts
+    from, the height never goes below 0, and the path ends at 0."""
+    h = 0
+    for label in steps:
+        for allowed, dh in options(h):
+            if allowed == label:
+                break
+        else:
+            return False
+        h += dh
+        if h < 0:
+            return False
+    return h == 0
+
+
 def _family_steps(family: str, weigh: Callable[[str, tuple, int], MPoly]) -> StepWeights:
     """Kernel weights of a family: at height h, the sum of weigh(d, tag, h)
     over the admissible tags, each q-power level step also marked by a.
@@ -400,6 +402,11 @@ def zn_paths(N: int) -> MPoly:
     return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps), N)
 
 
+_CORE_OPTIONS = (
+    ((UP, ("one",)), 1), ((UP, ("negq",)), 1), ((LEVEL, ("qpow",)), 0), ((DOWN, ("y",)), -1)
+)
+
+
 def enumerate_core(length: int, n_levels: int) -> Iterator[tuple[Step, ...]]:
     """Core paths: length steps, exactly n_levels level steps, and no peak
     whose up step carries weight 1.
@@ -408,29 +415,13 @@ def enumerate_core(length: int, n_levels: int) -> Iterator[tuple[Step, ...]]:
     (the down steps carry the y-bookkeeping of the family-R paths they are
     split off from).
     """
-    steps: list[Step] = []
-
-    def rec(h: int, remaining: int, count: int):
-        if remaining == 0:
-            if h == 0 and count == n_levels:
-                yield tuple(steps)
-            return
-        if h > remaining or count > n_levels:
-            return
-        for tag in (("one",), ("negq",)):
-            if h + 1 <= remaining - 1:
-                steps.append((UP, tag))
-                yield from rec(h + 1, remaining - 1, count)
-                steps.pop()
-        steps.append((LEVEL, ("qpow",)))
-        yield from rec(h, remaining - 1, count + 1)
-        steps.pop()
-        if h > 0 and not (steps and steps[-1] == (UP, ("one",))):
-            steps.append((DOWN, ("y",)))
-            yield from rec(h - 1, remaining - 1, count)
-            steps.pop()
-
-    yield from rec(0, length, 0)
+    walks = motzkin_walks(length, lambda h: _CORE_OPTIONS)
+    return (
+        p
+        for p in walks
+        if _q_levels(p) == n_levels
+        and not any(s == (UP, ("one",)) and t[0] == DOWN for s, t in zip(p, p[1:]))
+    )
 
 
 def core_sum(length: int, n_levels: int) -> MPoly:
@@ -517,22 +508,7 @@ def peaks(steps) -> int:
 
 def enumerate_dyck(n: int) -> Iterator[tuple[str, ...]]:
     """All Dyck paths with 2n steps."""
-    steps: list[str] = []
-
-    def rec(h: int, remaining: int):
-        if remaining == 0:
-            yield tuple(steps)
-            return
-        if h + 1 <= remaining - 1:
-            steps.append(UP)
-            yield from rec(h + 1, remaining - 1)
-            steps.pop()
-        if h > 0:
-            steps.append(DOWN)
-            yield from rec(h - 1, remaining - 1)
-            steps.pop()
-
-    yield from rec(0, 2 * n)
+    return motzkin_walks(2 * n, lambda h: ((UP, 1), (DOWN, -1)))
 
 
 def is_fine(steps: tuple[str, ...]) -> bool:

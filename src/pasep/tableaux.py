@@ -157,9 +157,9 @@ def _fillings(shape: tuple[int, ...]) -> Iterator[PermutationTableau]:
 
 def enumerate_tableaux(size: int) -> Iterator[PermutationTableau]:
     """Every permutation tableau of the given size, exactly once."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    for r in range(1, size + 1):
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    for r in range(size + 1):
         c = size - r
         for shape in _shapes(r, c):
             yield from _fillings(shape)
@@ -168,6 +168,8 @@ def enumerate_tableaux(size: int) -> Iterator[PermutationTableau]:
 @lru_cache(maxsize=None)
 def zn_tableaux(N: int) -> MPoly:
     """Partition function over tableaux of size N+1: a^a b^(b-1) y^(r-1) q^w."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc: dict[tuple[int, int, int, int], int] = {}
     for t in enumerate_tableaux(N + 1):
         st = tableau_stats(t)

@@ -9,6 +9,7 @@ max_n only ever lowers them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -182,8 +183,8 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
         rep.check(f"FV round trip and validity, n={n}", fv_ok)
         rep.check(f"FZ weight law y^wex q^cr, n={n}", fz_wt)
         rep.check(f"FV weight law y^asc q^31-2, n={n}", fv_wt)
-        rep.check(f"FZ injective on S_{n}", len(seen_fz) == _factorial(n))
-        rep.check(f"FV injective on S_{n}", len(seen_fv) == _factorial(n))
+        rep.check(f"FZ injective on S_{n}", len(seen_fz) == math.factorial(n))
+        rep.check(f"FV injective on S_{n}", len(seen_fv) == math.factorial(n))
         rep.check(f"type-1 steps are the left-to-right maxima, n={n}", lem1)
         rep.check(f"type-2 steps are the non-fixed right-to-left minima, n={n}", lem2)
         rep.check(f"tilde involution preserves (u->u', wex, v, cr), n={n}", lem3)
@@ -212,13 +213,6 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
                     bic = False
     rep.check("bicolor-to-Dyck-pair mark preservation", bic)
     return rep
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def decomposition_suite(max_n: int | None = None) -> VerifyReport:
@@ -383,7 +377,7 @@ def eulerian_suite(max_n: int | None = None) -> VerifyReport:
         rep.check(f"q=-1 gives the binomial row, N={N}", okm1)
         rep.check(f"q=0 gives the Narayana row, N={N}", ok0)
         rep.check(f"row sums: (N+1)! and Catalan, N={N}",
-                  row1 == _factorial(N + 1) and row0 == formulas.catalan_number(N + 1))
+                  row1 == math.factorial(N + 1) and row0 == formulas.catalan_number(N + 1))
     return rep
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from pasep.bijections import (
     L2,
     bicolor_mark_counts,
@@ -12,6 +14,7 @@ from pasep.bijections import (
     francon_viennot_inverse,
     fv_step_types,
     fz_step_types,
+    is_valid_bicolor,
 )
 from pasep.paths import (
     DOWN,
@@ -207,3 +210,39 @@ def test_bicolor_mark_preservation():
             if steps:
                 assert nbeta == returns(d1) + 1
                 assert nalpha == returns(d2)
+
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        pytest.param(is_valid_history, (((DOWN, 0, 0),),), id="history-down-at-0"),
+        pytest.param(is_valid_family_path, (((DOWN, ("y",)),), "R"), id="R-down-at-0"),
+        pytest.param(is_valid_bicolor, ((DOWN,),), id="bicolor-down-at-0"),
+        pytest.param(is_valid_history, (((LEVEL, 0, 0),),), id="history-level0-at-0"),
+        pytest.param(is_valid_history, (((UP, 1, 1), (DOWN, 0, 0)),), id="history-up-i-above-h"),
+        pytest.param(is_valid_history, (((UP, 1, 0), (LEVEL, 1, 2), (DOWN, 0, 0)),),
+                     id="history-level-i-above-h"),
+        pytest.param(is_valid_family_path, (((UP, ("frac", 1)), (DOWN, ("y",))), "P"),
+                     id="P-frac-i-above-h"),
+        pytest.param(is_valid_history, (((UP, 1, 0), (LEVEL, 5, 0), (DOWN, 0, 0)),),
+                     id="history-level-delta-5"),
+        pytest.param(is_valid_history, ((("X", 1, 0),),), id="history-unknown-direction"),
+        pytest.param(is_valid_family_path, ((("X", ("oney",)),), "P"), id="P-unknown-direction"),
+        pytest.param(is_valid_bicolor, (("X",),), id="bicolor-unknown-direction"),
+        pytest.param(is_valid_family_path, (((UP, ("frac", 0)), (DOWN, ("y",))), "R"),
+                     id="R-frac-up"),
+        pytest.param(is_valid_family_path, (((LEVEL, ("oney",)),), "B"), id="B-oney-level"),
+        pytest.param(is_valid_family_path, (((UP, ("one",)), (DOWN, ("y",))), "R*"),
+                     id="Rstar-one-up"),
+        pytest.param(is_valid_family_path, (((LEVEL, ("qpow",)),), "R", 0), id="R-q-levels-0"),
+        pytest.param(is_valid_family_path, (((LEVEL, ("qpow",)),), "R*", 2), id="Rstar-q-levels-2"),
+        pytest.param(is_valid_history, (((UP, 1, 0),),), id="history-ends-above-0"),
+        pytest.param(is_valid_family_path, (((UP, ("frac", 0)),), "B*"), id="Bstar-ends-above-0"),
+        pytest.param(is_valid_bicolor, ((UP, LEVEL),), id="bicolor-ends-above-0"),
+        pytest.param(is_valid_bicolor, ((L2,),), id="bicolor-L2-at-0"),
+        pytest.param(is_valid_bicolor, ((UP, DOWN, L2),), id="bicolor-L2-back-at-0"),
+    ],
+)
+def test_validators_reject_invalid_paths(check, args):
+    assert check(*args) is False

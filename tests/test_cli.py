@@ -61,8 +61,11 @@ def test_enumerate_laguerre(capsys):
     assert all("steps" in r and "weight" in r for r in records)
 
 
-def test_enumerate_permutation_empty(capsys):
-    assert run(["enumerate", "--object", "permutation", "--n", "0"]) == 0
+@pytest.mark.parametrize(
+    "obj", ["permutation", "tableau", "laguerre", "pathset-P", "pathset-R", "pathset-B"]
+)
+def test_enumerate_empty(capsys, obj):
+    assert run(["enumerate", "--object", obj, "--n", "0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
 

@@ -52,7 +52,7 @@ from pasep.polyring import (
     monomial,
     substitute,
 )
-from pasep.tableaux import zn_tableaux
+from pasep.tableaux import enumerate_tableaux, zn_tableaux
 
 FIG1_HISTORY = (
     (UP, 1, 0), (UP, 1, 1), (LEVEL, 0, 0), (UP, 1, 0), (LEVEL, 1, 3),
@@ -186,6 +186,8 @@ def test_count_family_matches_enumeration():
         zn_perm_asc312,
         zn_tableaux,
         zn_histories,
+        lambda n: list(enumerate_laguerre(n)),
+        lambda n: list(enumerate_tableaux(n)),
     ],
     ids=[
         "sum_B",
@@ -200,6 +202,8 @@ def test_count_family_matches_enumeration():
         "zn_perm_asc312",
         "zn_tableaux",
         "zn_histories",
+        "enumerate_laguerre",
+        "enumerate_tableaux",
     ],
 )
 def test_negative_length_is_rejected(build):

@@ -131,3 +131,11 @@ def test_canonical_parse_round_trip(p):
 def test_y_reflect_involution(p, extra):
     n = p.deg("y") + extra
     assert y_reflect(y_reflect(p, n), n) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, st.sampled_from("yqab"))
+def test_results_store_no_zero_coefficient_or_negative_exponent(p, r, var):
+    for result in (p + r, p - r, p * r, -p, substitute(p, var, r)):
+        for exps, c in result.items():
+            assert c != 0 and min(exps) >= 0, (exps, c)
