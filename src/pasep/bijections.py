@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .paths import (
-    DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH, _q_levels, is_motzkin_walk,
-    motzkin_walks,
+    DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH, _q_levels, history_type_flags,
+    is_motzkin_walk, motzkin_walks,
 )
 from .perms import Perm, inverse
 
@@ -119,27 +119,23 @@ def fz_step_types(sigma: Perm) -> list[FZStepInfo]:
     """Per-index report backing the left-to-right-maximum and
     right-to-left-minimum characterizations of type 1 / type 2 steps."""
     n = len(sigma)
-    steps = foata_zeilberger(sigma)
     out = []
-    h = 0
     running_max = 0
     suffix_min = [0] * (n + 2)
     suffix_min[n + 1] = n + 1
     for i in range(n, 0, -1):
         suffix_min[i] = min(sigma[i - 1], suffix_min[i + 1])
-    for i in range(1, n + 1):
-        d, delta, j = steps[i - 1]
+    for i, (t1, t2) in enumerate(history_type_flags(foata_zeilberger(sigma)), start=1):
         running_max = max(running_max, sigma[i - 1])
         out.append(
             FZStepInfo(
                 lr_max=sigma[i - 1] == running_max,
                 rl_min=sigma[i - 1] == suffix_min[i],
                 fixed_point=sigma[i - 1] == i,
-                type1=delta == 1 and j == h,
-                type2=delta == 0 and j == h - 1,
+                type1=t1,
+                type2=t2,
             )
         )
-        h += _DH[d]
     return out
 
 
@@ -209,12 +205,7 @@ class FVStepInfo:
 def fv_step_types(sigma: Perm) -> list[FVStepInfo]:
     n = len(sigma)
     inv = inverse(sigma)
-    steps = francon_viennot(sigma)
-    flags = []
-    h = 0
-    for d, delta, i in steps:
-        flags.append((delta == 1 and i == h, delta == 0 and i == h - 1))
-        h += _DH[d]
+    flags = history_type_flags(francon_viennot(sigma))
     suffix_min = [0] * (n + 2)
     suffix_max = [0] * (n + 2)
     suffix_min[n + 1] = n + 1

@@ -41,6 +41,7 @@ options function per kind of path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -49,6 +50,7 @@ from .polyring import (
     ALPHA_TILDE,
     BETA_TILDE,
     A,
+    B,
     MPoly,
     ONE,
     Y,
@@ -57,6 +59,7 @@ from .polyring import (
     exact_div_pow_one_minus_q,
     exact_div_var,
     monomial,
+    substitute,
 )
 
 UP, LEVEL, DOWN = "U", "L", "D"
@@ -134,7 +137,7 @@ def zn_histories(N: int) -> MPoly:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    acc: dict[tuple[int, int, int, int], int] = {}
+    counts: Counter[tuple[int, int, int, int]] = Counter()
     for steps in enumerate_laguerre(N + 1):
         flags = history_type_flags(steps)
         type1_positions = [k for k, (t1, _) in enumerate(flags) if t1]
@@ -142,9 +145,8 @@ def zn_histories(N: int) -> MPoly:
         late2 = sum(1 for k, (_, t2) in enumerate(flags) if t2 and k > last1)
         ey = sum(delta for _, delta, _ in steps)
         eq = sum(i for _, _, i in steps)
-        key = (ey, eq, late2, len(type1_positions) - 1)
-        acc[key] = acc.get(key, 0) + 1
-    return exact_div_var(MPoly(acc), "y", 1)
+        counts[ey, eq, late2, len(type1_positions) - 1] += 1
+    return exact_div_var(MPoly(counts), "y", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,48 +156,42 @@ def zn_histories(N: int) -> MPoly:
 Step = tuple[str, tuple]  # (direction, weight tag)
 
 
+# Each weight tag kind mapped to its (polynomial, JSON string) as functions of
+# the starting height h and, for "frac", of the tag's index i.
+_TAGS: dict[str, tuple[Callable[..., MPoly], Callable[..., str]]] = {
+    "frac": (
+        lambda h, i: monomial(1, eq=i) - monomial(1, eq=i + 1),
+        lambda h, i: f"q^{i}-q^{i + 1}",
+    ),
+    "one": (lambda h: ONE, lambda h: "1"),
+    "negq": (lambda h: -monomial(1, eq=h + 1), lambda h: f"-q^{h + 1}"),
+    "oney": (lambda h: ONE + Y, lambda h: "1+y"),
+    "qpow": (lambda h: monomial(1, eq=h), lambda h: f"q^{h}"),
+    "ab": (
+        lambda h: (ALPHA_TILDE + Y * BETA_TILDE) * monomial(1, eq=h),
+        lambda h: f"(at+y*bt)q^{h}",
+    ),
+    "y": (lambda h: Y, lambda h: "y"),
+    "negab": (
+        lambda h: -(Y * ALPHA_TILDE * BETA_TILDE) * monomial(1, eq=h - 1),
+        lambda h: f"-y*at*bt*q^{h - 1}",
+    ),
+}
+
+
+def _tag_entry(tag: tuple) -> tuple[Callable[..., MPoly], Callable[..., str]]:
+    if tag[0] not in _TAGS:
+        raise ValueError(f"unknown step tag {tag!r}")
+    return _TAGS[tag[0]]
+
+
 def step_weight(d: str, tag: tuple, h: int) -> MPoly:
     """Resolve a symbolic step tag at starting height h to its polynomial."""
-    kind = tag[0]
-    if kind == "frac":
-        i = tag[1]
-        return monomial(1, eq=i) - monomial(1, eq=i + 1)
-    if kind == "one":
-        return ONE
-    if kind == "negq":
-        return -monomial(1, eq=h + 1)
-    if kind == "oney":
-        return ONE + Y
-    if kind == "qpow":
-        return monomial(1, eq=h)
-    if kind == "ab":
-        return (ALPHA_TILDE + Y * BETA_TILDE) * monomial(1, eq=h)
-    if kind == "y":
-        return Y
-    if kind == "negab":
-        return -(Y * ALPHA_TILDE * BETA_TILDE) * monomial(1, eq=h - 1)
-    raise ValueError(f"unknown step tag {tag!r}")
+    return _tag_entry(tag)[0](h, *tag[1:])
 
 
 def step_weight_string(d: str, tag: tuple, h: int) -> str:
-    kind = tag[0]
-    if kind == "frac":
-        return f"q^{tag[1]}-q^{tag[1] + 1}"
-    if kind == "one":
-        return "1"
-    if kind == "negq":
-        return f"-q^{h + 1}"
-    if kind == "oney":
-        return "1+y"
-    if kind == "qpow":
-        return f"q^{h}"
-    if kind == "ab":
-        return f"(at+y*bt)q^{h}"
-    if kind == "y":
-        return "y"
-    if kind == "negab":
-        return f"-y*at*bt*q^{h - 1}"
-    raise ValueError(f"unknown step tag {tag!r}")
+    return _tag_entry(tag)[1](h, *tag[1:])
 
 
 def path_weight(steps: tuple[Step, ...]) -> MPoly:
@@ -524,23 +520,13 @@ def is_fine(steps: tuple[str, ...]) -> bool:
 @lru_cache(maxsize=None)
 def fine_poly_paths(n: int) -> MPoly:
     """F_n(y): peak distribution over Fine paths of length 2n."""
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for d in enumerate_dyck(n):
-        if is_fine(d):
-            k = peaks(d)
-            key = (k, 0, 0, 0)
-            acc[key] = acc.get(key, 0) + 1
-    return MPoly(acc)
+    return MPoly(Counter((peaks(d), 0, 0, 0) for d in enumerate_dyck(n) if is_fine(d)))
 
 
 @lru_cache(maxsize=None)
-def _returns_gf(m: int) -> dict[int, int]:
-    # number of Dyck paths of length 2m with a given returns count
-    out: dict[int, int] = {}
-    for d in enumerate_dyck(m):
-        r = returns(d)
-        out[r] = out.get(r, 0) + 1
-    return out
+def _returns_a(m: int) -> MPoly:
+    """Sum of a^ret(D) over the Dyck paths D of length 2m."""
+    return MPoly(Counter((0, 0, returns(d), 0) for d in enumerate_dyck(m)))
 
 
 @lru_cache(maxsize=None)
@@ -549,14 +535,6 @@ def dyck_pair_sum_q0(N: int) -> MPoly:
 
     Equals the partition function at y = 1, q = 0.
     """
-    acc = ZERO
-    for k in range(N + 1):
-        g1 = _returns_gf(k)
-        g2 = _returns_gf(N - k)
-        part: dict[tuple[int, int, int, int], int] = {}
-        for r1, c1 in g1.items():
-            for r2, c2 in g2.items():
-                key = (0, 0, r2, r1)
-                part[key] = part.get(key, 0) + c1 * c2
-        acc = acc + MPoly(part)
-    return acc
+    return sum(
+        (substitute(_returns_a(k), "a", B) * _returns_a(N - k) for k in range(N + 1)), ZERO
+    )

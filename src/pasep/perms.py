@@ -18,6 +18,7 @@ interpretations of the partition function track:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_permutations
@@ -60,6 +61,18 @@ class PermStats:
     t: int
 
 
+def p31_2(sigma: Perm) -> int:
+    """Occurrences of the generalized pattern 31-2 (see the module docstring)."""
+    count = 0
+    for i in range(len(sigma) - 1):
+        hi, lo = sigma[i], sigma[i + 1]
+        if lo < hi:
+            for x in sigma[i + 2 :]:
+                if lo < x < hi:
+                    count += 1
+    return count
+
+
 def stats(sigma: Perm) -> PermStats:
     """All nine statistics by direct definition scanning."""
     n = len(sigma)
@@ -77,14 +90,6 @@ def stats(sigma: Perm) -> PermStats:
                 cr += 1
 
     asc = 1 + sum(1 for i in range(1, n) if sigma[i - 1] < sigma[i])
-
-    p31 = 0
-    for i in range(1, n):
-        hi, lo = sigma[i - 1], sigma[i]
-        if lo < hi:
-            for j in range(i + 2, n + 1):
-                if lo < sigma[j - 1] < hi:
-                    p31 += 1
 
     rl_min_pos = []
     rl_max_pos = []
@@ -112,7 +117,7 @@ def stats(sigma: Perm) -> PermStats:
     pos_max = sigma.index(n) + 1
     u_prime = sum(1 for i in rl_min_pos if i > pos_max)
 
-    return PermStats(wex, cr, asc, p31, u, u_prime, v_count, s, t)
+    return PermStats(wex, cr, asc, p31_2(sigma), u, u_prime, v_count, s, t)
 
 
 def tilde(sigma: Perm) -> Perm:
@@ -134,12 +139,9 @@ def zn_perm_wexcr(N: int) -> MPoly:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for sigma in enumerate_permutations(N + 1):
-        st = stats(sigma)
-        key = (st.wex - 1, st.cr, st.u, st.v)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly(acc)
+    return MPoly(
+        Counter((st.wex - 1, st.cr, st.u, st.v) for st in map(stats, enumerate_permutations(N + 1)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -151,12 +153,12 @@ def zn_perm_asc312(N: int) -> MPoly:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for sigma in enumerate_permutations(N + 1):
-        st = stats(sigma)
-        key = (st.asc - 1, st.p31_2, st.s - 1, st.t - 1)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly(acc)
+    return MPoly(
+        Counter(
+            (st.asc - 1, st.p31_2, st.s - 1, st.t - 1)
+            for st in map(stats, enumerate_permutations(N + 1))
+        )
+    )
 
 
 def enumerate_alternating(n: int) -> Iterator[Perm]:
@@ -190,9 +192,4 @@ def alternating_E(n: int) -> MPoly:
     """E_n(q): 31-2 pattern distribution over alternating permutations."""
     if n < 1:
         raise ValueError("alternating_E requires n >= 1")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for sigma in enumerate_alternating(n):
-        k = stats(sigma).p31_2
-        key = (0, k, 0, 0)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly(acc)
+    return MPoly(Counter((0, p31_2(sigma), 0, 0) for sigma in enumerate_alternating(n)))

@@ -16,11 +16,13 @@ is not the topmost 1 of its column is superfluous.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .polyring import MPoly, ZERO, Y, B, monomial
+from .polyring import MPoly, ZERO, Y, B, Exponent, monomial
 from .qtools import q_binomial
 
 
@@ -93,25 +95,11 @@ def tableau_stats(t: PermutationTableau) -> TableauStats:
 
 
 def _shapes(r: int, c: int) -> Iterator[tuple[int, ...]]:
-    # Weakly decreasing length-r sequences with first part exactly c.
+    # Weakly decreasing length-r sequences with first part exactly c, in
+    # descending lexicographic order.
     if r == 0:
-        if c == 0:
-            yield ()
-        return
-    if c == 0:
-        yield (0,) * r
-        return
-
-    def rec(prefix: list[int], prev: int, remaining: int):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for part in range(prev, -1, -1):
-            prefix.append(part)
-            yield from rec(prefix, part, remaining - 1)
-            prefix.pop()
-
-    yield from rec([c], c, r - 1)
+        return iter([()] if c == 0 else [])
+    return ((c, *rest) for rest in combinations_with_replacement(range(c, -1, -1), r - 1))
 
 
 def _fillings(shape: tuple[int, ...]) -> Iterator[PermutationTableau]:
@@ -165,17 +153,17 @@ def enumerate_tableaux(size: int) -> Iterator[PermutationTableau]:
             yield from _fillings(shape)
 
 
+def _key(st: TableauStats) -> Exponent:
+    # the monomial y^(r-1) q^w a^a b^(b-1) of a tableau
+    return (st.r - 1, st.w, st.a, st.b - 1)
+
+
 @lru_cache(maxsize=None)
 def zn_tableaux(N: int) -> MPoly:
     """Partition function over tableaux of size N+1: a^a b^(b-1) y^(r-1) q^w."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for t in enumerate_tableaux(N + 1):
-        st = tableau_stats(t)
-        key = (st.r - 1, st.w, st.a, st.b - 1)
-        acc[key] = acc.get(key, 0) + 1
-    return MPoly(acc)
+    return MPoly(Counter(map(_key, map(tableau_stats, enumerate_tableaux(N + 1)))))
 
 
 def top_degree_check(n: int) -> MPoly:
@@ -186,13 +174,13 @@ def top_degree_check(n: int) -> MPoly:
     gives sum_k [n,k]_q a^k (y b)^(n-k); both sides are computed and the
     equality is asserted before returning the polynomial.
     """
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for t in enumerate_tableaux(n + 1):
-        st = tableau_stats(t)
-        if st.a + st.b == n + 1:
-            key = (st.r - 1, st.w, st.a, st.b - 1)
-            acc[key] = acc.get(key, 0) + 1
-    filtered = MPoly(acc)
+    filtered = MPoly(
+        Counter(
+            _key(st)
+            for st in map(tableau_stats, enumerate_tableaux(n + 1))
+            if st.a + st.b == n + 1
+        )
+    )
 
     closed = ZERO
     for k in range(n + 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,11 +66,9 @@ class VerifyReport:
             self.failures.append((name, detail))
 
     def check_eq(self, name: str, got: MPoly, want: MPoly) -> None:
-        self.check(
-            name,
-            got == want,
-            f"got {canonical_string(got)} want {canonical_string(want)}",
-        )
+        ok = got == want
+        detail = "" if ok else f"got {canonical_string(got)} want {canonical_string(want)}"
+        self.check(name, ok, detail)
 
     @property
     def ok(self) -> bool:
@@ -191,14 +190,13 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
         rep.check(f"FV type-1 steps are the right-to-left minima, n={n}", lem4)
         rep.check(f"FV type-2-after-type-1 are the right-to-left maxima, n={n}", lem5)
     for N in range(cap):
-        acc: dict = {}
-        for sigma in perms.enumerate_permutations(N + 1):
-            st = perms.stats(sigma)
-            key = (st.wex - 1, st.cr, st.u_prime, st.v)
-            acc[key] = acc.get(key, 0) + 1
+        u_prime_form = Counter(
+            (st.wex - 1, st.cr, st.u_prime, st.v)
+            for st in map(perms.stats, perms.enumerate_permutations(N + 1))
+        )
         rep.check_eq(
             f"history route equals the u'-form permutation sum, N={N}",
-            MPoly(acc),
+            MPoly(u_prime_form),
             paths.zn_histories(N),
         )
     bic = True

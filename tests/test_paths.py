@@ -32,6 +32,8 @@ from pasep.paths import (
     path_weight,
     peaks,
     returns,
+    step_weight,
+    step_weight_string,
     sum_B,
     sum_R,
     zn_histories,
@@ -91,6 +93,12 @@ def test_zn_histories_matches():
     assert canonical_string(zn_histories(1)) == "y*b + a"
     for N in range(6):
         assert zn_histories(N) == zn_perm_wexcr(N)
+
+
+def test_unknown_step_tag_is_rejected():
+    for resolve in (step_weight, step_weight_string):
+        with pytest.raises(ValueError, match="unknown step tag"):
+            resolve(UP, ("bogus",), 0)
 
 
 def test_family_P_small():

@@ -3,6 +3,7 @@ from pasep.perms import (
     enumerate_alternating,
     enumerate_permutations,
     inverse,
+    p31_2,
     perm_string,
     stats,
     tilde,
@@ -31,6 +32,19 @@ def test_stats_crossing_figure():
 def test_stats_pattern_figure():
     st = stats((4, 3, 7, 1, 2, 6, 5))
     assert st.asc == 4 and st.p31_2 == 3
+
+
+def test_p31_2_matches_the_definition():
+    # triples (i, i+1, j), i+1 < j, with sigma(i+1) < sigma(j) < sigma(i)
+    for n in range(7):
+        for sigma in enumerate_permutations(n):
+            want = sum(
+                1
+                for i in range(n - 1)
+                for j in range(i + 2, n)
+                if sigma[i + 1] < sigma[j] < sigma[i]
+            )
+            assert p31_2(sigma) == stats(sigma).p31_2 == want
 
 
 def test_stats_identity_permutation():

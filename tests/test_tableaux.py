@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from pasep.perms import zn_perm_wexcr
 from pasep.polyring import B, ONE, Y, ZERO, canonical_string, monomial, substitute
 from pasep.tableaux import (
     PermutationTableau,
+    _shapes,
     enumerate_tableaux,
     tableau_stats,
     top_degree_check,
@@ -84,3 +86,19 @@ def test_top_degree_through_6():
 def test_json_round_trip():
     for t in enumerate_tableaux(4):
         assert PermutationTableau.from_json(t.to_json()) == t
+
+
+def test_shapes_order():
+    # weakly decreasing r-tuples with first part c, in descending lex order;
+    # the one shape with no rows has c = 0
+    for r in range(6):
+        for c in range(6):
+            want = sorted(
+                (
+                    s
+                    for s in itertools.product(range(c + 1), repeat=r)
+                    if (s[0] == c if s else c == 0) and all(x >= y for x, y in zip(s, s[1:]))
+                ),
+                reverse=True,
+            )
+            assert list(_shapes(r, c)) == want, (r, c)
