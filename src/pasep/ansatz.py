@@ -29,7 +29,7 @@ ballot-difference kernel M.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .paths import StepWeights, Weight, motzkin_sum
 from .polyring import (
@@ -108,24 +108,56 @@ def state_weight(word: str) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _d_power_e(j: int) -> dict[tuple[int, int], MPoly]:
-    """Normal form of D^j E as a map (i, k) -> coefficient of E^i D^k.
+# Each recurrence below keeps every term it has built in a list and extends
+# it from the last one, so a large index costs no recursion depth.
 
-    D^j E = D^(j-1) (q E D + D + E) = q (D^(j-1) E) D + D^j + D^(j-1) E, so
-    every term is E D^k or D^k and the coefficients are polynomials in q.
-    """
-    if j == 0:
-        return {(1, 0): ONE}
+Coeffs = dict[tuple[int, int], MPoly]  # (i, j) -> coefficient of E^i D^j
+
+
+def _extend(built: list[Coeffs], k: int, step: Callable[[Coeffs, int], Coeffs]) -> Coeffs:
+    """built[k], after appending step(built[m - 1], m) for m = len(built) .. k."""
+    while len(built) <= k:
+        built.append(step(built[-1], len(built)))
+    return built[k]
+
+
+def _d_power_e_step(prev: Coeffs, j: int) -> Coeffs:
     out = {(0, j): ONE}
-    for (i, k), c in _d_power_e(j - 1).items():
+    for (i, k), c in prev.items():
         out[(i, k + 1)] = out.get((i, k + 1), ZERO) + Q * c
         out[(i, k)] = out.get((i, k), ZERO) + c
     return out
 
 
-@lru_cache(maxsize=None)
-def normal_order(N: int) -> dict[tuple[int, int], MPoly]:
+_D_POWER_E: list[Coeffs] = [{(1, 0): ONE}]
+
+
+def _d_power_e(j: int) -> Coeffs:
+    """Normal form of D^j E as a map (i, k) -> coefficient of E^i D^k.
+
+    D^j E = D^(j-1) (q E D + D + E) = q (D^(j-1) E) D + D^j + D^(j-1) E, so
+    every term is E D^k or D^k and the coefficients are polynomials in q.
+    """
+    return _extend(_D_POWER_E, j, _d_power_e_step)
+
+
+def _normal_order_step(prev: Coeffs, N: int) -> Coeffs:
+    out: Coeffs = {}
+
+    def add(key, val):
+        out[key] = out.get(key, ZERO) + val
+
+    for (i, j), c in prev.items():
+        add((i, j + 1), Y * c)
+        for (a, k), f in _d_power_e(j).items():
+            add((i + a, k), f * c)
+    return out
+
+
+_NORMAL_ORDER: list[Coeffs] = [{(0, 0): ONE}]
+
+
+def normal_order(N: int) -> Coeffs:
     """Coefficients c[N][i, j] of (yD + E)^N = sum c E^i D^j.
 
     Computed over the free algebra by right multiplication,
@@ -135,18 +167,7 @@ def normal_order(N: int) -> dict[tuple[int, int], MPoly]:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    if N == 0:
-        return {(0, 0): ONE}
-    out: dict[tuple[int, int], MPoly] = {}
-
-    def add(key, val):
-        out[key] = out.get(key, ZERO) + val
-
-    for (i, j), c in normal_order(N - 1).items():
-        add((i, j + 1), Y * c)
-        for (a, k), f in _d_power_e(j).items():
-            add((i + a, k), f * c)
-    return out
+    return _extend(_NORMAL_ORDER, N, _normal_order_step)
 
 
 @lru_cache(maxsize=None)
@@ -163,15 +184,8 @@ def zn_normal(N: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def hatted_coeffs(k: int) -> dict[tuple[int, int], MPoly]:
-    """d[k][i, j] by the recurrence
-    d[k+1][i,j] = d[k][i,j-1] + q^j d[k][i-1,j] + y(1 - q^(j+1)) d[k][i,j+1]
-    from d[0] = {(0,0): 1}."""
-    if k == 0:
-        return {(0, 0): ONE}
-    prev = hatted_coeffs(k - 1)
-    out: dict[tuple[int, int], MPoly] = {}
+def _hatted_step(prev: Coeffs, k: int) -> Coeffs:
+    out: Coeffs = {}
 
     def add(key, val):
         out[key] = out.get(key, ZERO) + val
@@ -182,6 +196,18 @@ def hatted_coeffs(k: int) -> dict[tuple[int, int], MPoly]:
         if j >= 1:
             add((i, j - 1), Y * (ONE - monomial(1, eq=j)) * c)
     return {key: c for key, c in out.items() if c}
+
+
+_HATTED: list[Coeffs] = [{(0, 0): ONE}]
+
+
+def hatted_coeffs(k: int) -> Coeffs:
+    """d[k][i, j] by the recurrence
+    d[k+1][i,j] = d[k][i,j-1] + q^j d[k][i-1,j] + y(1 - q^(j+1)) d[k][i,j+1]
+    from d[0] = {(0,0): 1}."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return _extend(_HATTED, k, _hatted_step)
 
 
 def hatted_closed_form(k: int, i: int, j: int) -> MPoly:

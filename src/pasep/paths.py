@@ -6,7 +6,9 @@ Three layers live here:
   with delta in {0,1} and i bounded by the starting height h
   (up: delta=1, i<=h;  level: delta=1, i<=h or delta=0, i<=h-1;
   down: delta=0, i<=h-1).  The step weight is y^delta q^i.  A step of
-  weight y q^h is called type 1, one of weight q^(h-1) type 2.
+  weight y q^h is called type 1, one of weight q^(h-1) type 2 (both
+  defined once, in _step_type); zn_histories keys each history in one
+  pass by _history_key.
 
 * The transfer-matrix path families P, R, R*, B, B*.  Steps are pairs
   (direction, tag) where the tag names one symbolic weight alternative;
@@ -26,7 +28,9 @@ Three layers live here:
   where at = (1-q)a - 1 and bt = (1-q)b - 1.
 
 * Plain Dyck paths with returns/peaks statistics, Fine paths, and the
-  q=0 Dyck-pair evaluation of the partition function.
+  q=0 Dyck-pair evaluation of the partition function.  fine_poly_paths
+  reads the peaks and the no-hill rule in one scan per path; is_fine and
+  peaks stay the definitions.
 
 Every weighted sum (families P, R, B, their cardinalities, J-fraction
 moments, and the transfer matrices of the ansatz module) is one call of
@@ -109,12 +113,19 @@ def history_weight(steps: tuple[LaguerreStep, ...]) -> MPoly:
     return monomial(1, ey=ey, eq=eq)
 
 
+def _step_type(delta: int, i: int, h: int) -> int:
+    """1 for a type 1 step (weight y q^h at starting height h), 2 for a type 2
+    step (weight q^(h-1)), else 0: the steps carrying the top label at h."""
+    return 2 - delta if i - delta == h - 1 else 0
+
+
 def history_type_flags(steps: tuple[LaguerreStep, ...]) -> list[tuple[bool, bool]]:
     """(type1, type2) per step: weight y q^h resp. q^(h-1) at starting height h."""
     out = []
     h = 0
     for d, delta, i in steps:
-        out.append((delta == 1 and i == h, delta == 0 and i == h - 1))
+        kind = _step_type(delta, i, h)
+        out.append((kind == 1, kind == 2))
         h += _DH[d]
     return out
 
@@ -127,26 +138,34 @@ def history_json(steps: tuple[LaguerreStep, ...]) -> dict:
     }
 
 
+def _history_key(steps: tuple[LaguerreStep, ...]) -> tuple[int, int, int, int]:
+    """(ey, eq, type 2 steps right of every type 1 step, type 1 steps - 1) in
+    one pass; every nonempty history opens with a type 1 step."""
+    ey = eq = type1 = late2 = h = 0
+    for d, delta, i in steps:
+        ey += delta
+        eq += i
+        kind = _step_type(delta, i, h)
+        if kind == 1:
+            type1 += 1
+            late2 = 0
+        elif kind == 2:
+            late2 += 1
+        h += _DH[d]
+    return ey, eq, late2, type1 - 1
+
+
 @lru_cache(maxsize=None)
 def zn_histories(N: int) -> MPoly:
     """Partition function from Laguerre histories of N+1 steps.
 
     y * Z(N) is the sum over histories of
-    a^(type 2 steps right of every type 1 step) * b^(type 1 steps - 1) * weight;
-    every nonempty history opens with a type 1 step, so the -1 is safe.
+    a^(type 2 steps right of every type 1 step) * b^(type 1 steps - 1) * weight,
+    each history keyed by _history_key.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    counts: Counter[tuple[int, int, int, int]] = Counter()
-    for steps in enumerate_laguerre(N + 1):
-        flags = history_type_flags(steps)
-        type1_positions = [k for k, (t1, _) in enumerate(flags) if t1]
-        last1 = type1_positions[-1]
-        late2 = sum(1 for k, (_, t2) in enumerate(flags) if t2 and k > last1)
-        ey = sum(delta for _, delta, _ in steps)
-        eq = sum(i for _, _, i in steps)
-        counts[ey, eq, late2, len(type1_positions) - 1] += 1
-    return exact_div_var(MPoly(counts), "y", 1)
+    return exact_div_var(MPoly(Counter(map(_history_key, enumerate_laguerre(N + 1)))), "y", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +536,28 @@ def is_fine(steps: tuple[str, ...]) -> bool:
     return True
 
 
+def _fine_peaks(steps: tuple[str, ...]) -> int:
+    """Peaks of a Dyck path, or -1 when it is not Fine: one scan that reads
+    both peaks and is_fine."""
+    h = count = 0
+    prev = DOWN
+    for s in steps:
+        if s == UP:
+            h += 1
+        else:
+            h -= 1
+            if prev == UP:
+                if not h:
+                    return -1
+                count += 1
+        prev = s
+    return count
+
+
 @lru_cache(maxsize=None)
 def fine_poly_paths(n: int) -> MPoly:
     """F_n(y): peak distribution over Fine paths of length 2n."""
-    return MPoly(Counter((peaks(d), 0, 0, 0) for d in enumerate_dyck(n) if is_fine(d)))
+    return MPoly(Counter((p, 0, 0, 0) for p in map(_fine_peaks, enumerate_dyck(n)) if p >= 0))
 
 
 @lru_cache(maxsize=None)

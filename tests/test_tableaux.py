@@ -55,6 +55,79 @@ def test_invalid_tableaux_rejected():
         PermutationTableau((2, 2), ((1, 1), (1, 0)))
 
 
+def _oracle(rows, fill):
+    """Whether (rows, fill) is a permutation tableau, cell by cell from the
+    definition in the tableaux module docstring; cells are read only where
+    the shape has them."""
+    cells = [(i, j) for i, length in enumerate(rows) for j in range(length)]
+    if any(fill[i][j] not in (0, 1) for i, j in cells):
+        return False
+    for j in range(rows[0] if rows else 0):
+        if not any(fill[i][j] for i in range(len(rows)) if rows[i] > j):
+            return False
+    for i, j in cells:
+        one_above = any(fill[k][j] for k in range(i))
+        one_left = any(fill[i][k] for k in range(j))
+        if fill[i][j] == 0 and one_above and one_left:
+            return False
+    return True
+
+
+def _decreasing(max_rows, max_len):
+    return (
+        s
+        for r in range(max_rows + 1)
+        for s in itertools.product(range(max_len, -1, -1), repeat=r)
+        if all(x >= y for x, y in zip(s, s[1:]))
+    )
+
+
+def _fillings_over(rows, values):
+    cells = sum(rows)
+    for flat in itertools.product(values, repeat=cells):
+        it = iter(flat)
+        yield tuple(tuple(next(it) for _ in range(length)) for length in rows)
+
+
+def test_validator_accepts_exactly_the_definition():
+    # every shape with at most 3 rows and 3 columns, every filling over {0, 1, 2}
+    for rows in _decreasing(3, 3):
+        for fill in _fillings_over(rows, (0, 1, 2)):
+            try:
+                PermutationTableau(rows, fill)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _oracle(rows, fill), (rows, fill)
+
+
+def test_enumeration_and_stats_match_the_definition():
+    # each size's tableaux are exactly the valid 0/1 fillings of its shapes,
+    # once each, and their statistics are the definitions read cell by cell
+    for size in range(6):
+        want = {
+            (rows, fill)
+            for rows in _decreasing(size, size)
+            if len(rows) + (rows[0] if rows else 0) == size
+            for fill in _fillings_over(rows, (0, 1))
+            if _oracle(rows, fill)
+        }
+        tableaux = list(enumerate_tableaux(size))
+        got = [(t.rows, t.fill) for t in tableaux]
+        assert len(got) == len(set(got)) and set(got) == want, size
+        for t in tableaux:
+            rows, fill = t.rows, t.fill
+            col = lambda j: [fill[i][j] for i in range(len(rows)) if rows[i] > j]
+            restricted = {
+                i for i, length in enumerate(rows) for j in range(length)
+                if fill[i][j] == 0 and any(col(j)[:i])
+            }
+            w = sum(sum(col(j)) - 1 for j in range(rows[0] if rows else 0))
+            a = sum(fill[0]) if rows else 0
+            st = tableau_stats(t)
+            assert (st.a, st.b, st.r, st.w) == (a, len(rows) - len(restricted), len(rows), w)
+
+
 def test_valid_restricted_zero():
     # 0s below 1s are fine when everything to their left is 0
     t = PermutationTableau((2, 2), ((1, 1), (0, 0)))
