@@ -4,13 +4,14 @@ The headline formula expresses the partition function as
 
     Z(N) = (1-q)^(-N) * sum_{n=0..N} R(N, n) * B(n)
 
-where R(N, n) is a ballot-type double sum in y and q and B(n) is the
-q-binomial expansion sum_k [n,k]_q at^k (y bt)^(n-k) in the shifted
-boundary parameters.  Around it live the y=1 collapse of R, the a=b=1
-triple sum, the y=q=1 rising product, the Al-Salam-Chihara moment formulas
-(both the ballot form and Stanton's rational evaluation), q-secant and
-q-tangent numbers, Carlitz q-Stirling numbers, q-Eulerian extraction, Fine
-polynomials, and the standalone binomial identities used along the way.
+where R(N, n) is a ballot-type double sum in y and q (qtools.q_ballot_sum)
+and B(n) is the Rogers-Szego sum_k [n,k]_q at^k (y bt)^(n-k) in the shifted
+boundary parameters (qtools.rogers_szego).  Around it live the y=1 collapse
+of R, the a=b=1 triple sum, the y=q=1 rising product, the Al-Salam-Chihara
+moment formulas (both the ballot form and Stanton's rational evaluation),
+q-secant and q-tangent numbers, Carlitz q-Stirling numbers, q-Eulerian
+extraction, Fine polynomials, and the standalone binomial identities used
+along the way.  Every ballot difference is qtools.ballot.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from functools import lru_cache
 
 from .paths import MomentRecurrence
 from .polyring import (
+    A,
     ALPHA_TILDE,
+    B,
     BETA_TILDE,
     MPoly,
     ONE,
@@ -34,7 +37,17 @@ from .polyring import (
     monomial,
     substitute,
 )
-from .qtools import binomial, motzkin_prefix_gf, q_binomial, q_int, q_pochhammer_eval
+from .qtools import (
+    ballot,
+    binomial,
+    motzkin_prefix_gf,
+    q_ballot_sum,
+    q_binomial,
+    q_int,
+    q_pochhammer_eval,
+    rogers_szego,
+    touchard_M,
+)
 
 
 class SingularPoint(ArithmeticError):
@@ -52,35 +65,26 @@ def R_formula(N: int, n: int) -> MPoly:
     sum_j y^j (C(N,j) C(N,n+2i+j) - C(N,j-1) C(N,n+2i+j+1))."""
     if not 0 <= n <= N:
         raise ValueError("need 0 <= n <= N")
-    acc = ZERO
-    for i in range((N - n) // 2 + 1):
-        sign = -1 if i % 2 else 1
-        term = monomial(sign, ey=i, eq=i * (i + 1) // 2) * q_binomial(n + i, i)
-        acc = acc + term * motzkin_prefix_gf(N, n + 2 * i)
-    return acc
+    weights = [monomial(1, ey=i) * motzkin_prefix_gf(N, n + 2 * i) for i in range((N - n) // 2 + 1)]
+    return q_ballot_sum(n, weights)
 
 
 @lru_cache(maxsize=None)
 def R_y1(N: int, n: int) -> MPoly:
     """The y=1 collapse: sum_i (-1)^i (C(2N,N-n-2i) - C(2N,N-n-2i-2))
     q^C(i+1,2) [n+i, i]_q."""
-    acc = ZERO
-    for i in range((N - n) // 2 + 1):
-        c = binomial(2 * N, N - n - 2 * i) - binomial(2 * N, N - n - 2 * i - 2)
-        if not c:
-            continue
-        sign = -1 if i % 2 else 1
-        acc = acc + monomial(sign * c, eq=i * (i + 1) // 2) * q_binomial(n + i, i)
-    return acc
+    if not 0 <= n <= N:
+        raise ValueError("need 0 <= n <= N")
+    diffs = (binomial(2 * N, j) - binomial(2 * N, j - 2) for j in range(N - n, -1, -2))
+    return q_ballot_sum(n, diffs)
 
 
 @lru_cache(maxsize=None)
 def B_formula(n: int) -> MPoly:
     """B(n) = sum_k [n, k]_q at^k (y bt)^(n-k), expanded in a, b, y, q."""
-    acc = ZERO
-    for k in range(n + 1):
-        acc = acc + q_binomial(n, k) * ALPHA_TILDE**k * (Y * BETA_TILDE) ** (n - k)
-    return acc
+    if n < 0:
+        raise ValueError("B_formula requires n >= 0")
+    return rogers_szego(n, ALPHA_TILDE, Y * BETA_TILDE)
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +104,8 @@ def zn_cas1(N: int) -> MPoly:
     factor y is the one carried by the q-Laguerre moment it came from), so
     both exact divisions are performed before returning Z(N)|_{a=b=1}.
     """
+    if N < 0:
+        raise ValueError("zn_cas1 requires N >= 0")
     acc = ZERO
     M = N + 1
     for k in range(M + 1):
@@ -132,50 +138,41 @@ def asc_mom_closed(N: int) -> MPoly:
 
     Here a and b are the polynomial variables standing for the two ASC
     parameters.  The n-sum is parity restricted to n = N mod 2:
-    sum_n (sum_j (-1)^j q^C(j+1,2) [n+j, j]_q
-           (C(N,(N-n)/2 - j) - C(N,(N-n)/2 - j - 1))) * sum_k [n,k]_q a^k b^(n-k).
+    sum_n M((N-n)/2, N)|_{y=1} * sum_k [n,k]_q a^k b^(n-k).
     """
+    if N < 0:
+        raise ValueError("asc_mom_closed requires N >= 0")
     acc = ZERO
     for n in range(N % 2, N + 1, 2):
-        half = (N - n) // 2
-        kernel = ZERO
-        for j in range(half + 1):
-            c = binomial(N, half - j) - binomial(N, half - j - 1)
-            if not c:
-                continue
-            sign = -1 if j % 2 else 1
-            kernel = kernel + monomial(sign * c, eq=j * (j + 1) // 2) * q_binomial(n + j, j)
-        bpart = ZERO
-        for k in range(n + 1):
-            bpart = bpart + q_binomial(n, k) * monomial(1, ea=k, eb=n - k)
-        acc = acc + kernel * bpart
+        kernel = substitute(touchard_M((N - n) // 2, N), "y", ONE)
+        acc = acc + kernel * rogers_szego(n, A, B)
     return acc
 
 
-def asc_halved_recurrence() -> MomentRecurrence:
-    """Recurrence of the ASC polynomials in the halved variable x/2.
+def asc_recurrence(x: MPoly, z: MPoly, c: int = 0) -> MomentRecurrence:
+    """Al-Salam-Chihara recurrence with parameters x, z and level shift c.
 
-    Level weight (a+b) q^h, down weight (1-q^h)(1-ab q^(h-1)); its N-th
-    moment is 2^N times the ASC moment, matching asc_mom_closed exactly.
+    Level weight c + (x+z) q^h, down weight (1-q^h)(1 - xz q^(h-1)).
     """
-    a_plus_b = monomial(1, ea=1) + monomial(1, eb=1)
-    ab = monomial(1, ea=1, eb=1)
+    x_plus_z, xz = x + z, x * z
     return MomentRecurrence(
-        b=lambda h: a_plus_b * monomial(1, eq=h),
-        lam=lambda h: (ONE - monomial(1, eq=h)) * (ONE - ab * monomial(1, eq=h - 1)),
+        b=lambda h: c + x_plus_z * monomial(1, eq=h),
+        lam=lambda h: (ONE - monomial(1, eq=h)) * (ONE - xz * monomial(1, eq=h - 1)),
     )
+
+
+def asc_halved_recurrence() -> MomentRecurrence:
+    """ASC recurrence in x/2: its N-th moment is 2^N mu(N) = asc_mom_closed(N)."""
+    return asc_recurrence(A, B)
 
 
 def shifted_z_recurrence() -> MomentRecurrence:
-    """Recurrence whose N-th moment is (1-q)^N Z(N) at y = 1.
+    """ASC recurrence whose N-th moment is (1-q)^N Z(N) at y = 1.
 
-    Level weight 2 + (at + bt) q^h, down weight (1-q^h)(1 - at bt q^(h-1)).
+    Built from the ASC weights, not the family-P step weights of zn_paths,
+    so the moment check stays independent of that route.
     """
-    return MomentRecurrence(
-        b=lambda h: 2 * ONE + (ALPHA_TILDE + BETA_TILDE) * monomial(1, eq=h),
-        lam=lambda h: (ONE - monomial(1, eq=h))
-        * (ONE - ALPHA_TILDE * BETA_TILDE * monomial(1, eq=h - 1)),
-    )
+    return asc_recurrence(ALPHA_TILDE, BETA_TILDE, 2)
 
 
 def qsecant_recurrence() -> MomentRecurrence:
@@ -198,6 +195,8 @@ def mu_from_Z(N: int) -> MPoly:
     returned polynomial uses the variables a, b for the ASC parameters and
     equals asc_mom_closed(N).
     """
+    if N < 0:
+        raise ValueError("mu_from_Z requires N >= 0")
     a1 = monomial(1, ea=1) + ONE
     b1 = monomial(1, eb=1) + ONE
     acc = ZERO
@@ -252,7 +251,7 @@ def stanton_moment_eval(N: int, a, b, q) -> Fraction:
 
 @lru_cache(maxsize=None)
 def q_tangent_secant(n: int) -> MPoly:
-    """E_n(q) by the ballot-type closed formulas, even and odd cases split.
+    """E_n(q) by the ballot-type closed formulas, n = 2t + odd:
 
     E_{2t}(q)   = (1-q)^(-2t) sum_m (C(2t,t-m) - C(2t,t-m-1))
                   sum_{l=0..2m} (-1)^(l+m) q^(l(2m-l)+m)
@@ -263,35 +262,26 @@ def q_tangent_secant(n: int) -> MPoly:
     """
     if n < 0:
         raise ValueError("q_tangent_secant requires n >= 0")
+    t, odd = divmod(n, 2)
     acc = ZERO
-    if n % 2 == 0:
-        t = n // 2
-        for m in range(t + 1):
-            c = binomial(2 * t, t - m) - binomial(2 * t, t - m - 1)
-            if not c:
-                continue
-            inner = ZERO
-            for l in range(2 * m + 1):
-                sign = -1 if (l + m) % 2 else 1
-                inner = inner + monomial(sign, eq=l * (2 * m - l) + m)
-            acc = acc + c * inner
-        return exact_div_pow_one_minus_q(acc, 2 * t)
-    t = (n - 1) // 2
     for m in range(t + 1):
-        c = binomial(2 * t + 1, t - m) - binomial(2 * t + 1, t - m - 1)
-        if not c:
-            continue
-        inner = ZERO
-        for l in range(2 * m + 2):
-            sign = -1 if (l + m) % 2 else 1
-            inner = inner + monomial(sign, eq=l * (2 * m + 2 - l))
-        acc = acc + c * inner
-    return exact_div_pow_one_minus_q(acc, 2 * t + 1)
+        c = ballot(n, t - m)
+        for l in range(2 * m + odd + 1):
+            acc = acc + monomial((-1) ** (l + m) * c, eq=l * (2 * m + 2 * odd - l) + m * (1 - odd))
+    return exact_div_pow_one_minus_q(acc, n)
 
 
 # ---------------------------------------------------------------------------
 # Carlitz q-Stirling numbers of the second kind
 # ---------------------------------------------------------------------------
+
+
+def _carlitz_sum(m: int, r: int, x: MPoly | int) -> MPoly:
+    """sum_j (-1)^j C(m, r+j) x^j [r+j, j]_q for x = q or 1."""
+    acc = ZERO
+    for j in range(m - r + 1):
+        acc = acc + binomial(m, r + j) * (-x) ** j * q_binomial(r + j, j)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -316,23 +306,9 @@ def q_stirling2(n: int, k: int, method: str = "recurrence") -> MPoly:
     if method == "recurrence":
         return _stirling_rec(n, k)
     if method == "carl1":
-        acc = ZERO
-        for j in range(n - k + 1):
-            c = binomial(n - 1, k - 1 + j)
-            if not c:
-                continue
-            sign = -1 if j % 2 else 1
-            acc = acc + monomial(sign * c, eq=j) * q_binomial(k - 1 + j, j)
-        return exact_div_pow_one_minus_q(acc, n - k)
+        return exact_div_pow_one_minus_q(_carlitz_sum(n - 1, k - 1, Q), n - k)
     if method == "carl2":
-        acc = ZERO
-        for j in range(n - k + 1):
-            c = binomial(n, k + j)
-            if not c:
-                continue
-            sign = -1 if j % 2 else 1
-            acc = acc + sign * c * q_binomial(k + j, j)
-        return exact_div_pow_one_minus_q(acc, n - k)
+        return exact_div_pow_one_minus_q(_carlitz_sum(n, k, 1), n - k)
     if method == "from_Z":
         z = substitute(zn_closed(n - 1), "a", ONE)
         return coeff_of(coeff_of(z, "y", k - 1), "b", k - 1)
@@ -416,20 +392,25 @@ def idbinl_check(N: int, n: int, i: int) -> bool:
     lhs = ZERO
     upper = (N - n) // 2 if N >= n else -1
     for k in range(i, upper + 1):
-        c = binomial(N, n + 2 * k) * (binomial(n + 2 * k, k - i) - binomial(n + 2 * k, k - i - 1))
+        c = binomial(N, n + 2 * k) * ballot(n + 2 * k, k - i)
         if not c:
             continue
         lhs = lhs + monomial(c, ey=k - i) * (ONE + Y) ** (N - n - 2 * k)
     return lhs == motzkin_prefix_gf(N, n + 2 * i)
 
 
+def _lemma_sum(m: int, l: int, shift: int) -> MPoly:
+    """sum_j (-1)^j q^C(j-shift,2) [2m-j, l]_q [l, j]_q, C(x,2) = x(x-1)/2."""
+    acc = ZERO
+    for j in range(l + 1):
+        term = monomial((-1) ** j, eq=(j - shift) * (j - shift - 1) // 2) * q_binomial(l, j)
+        acc = acc + term * q_binomial(2 * m - j, l)
+    return acc
+
+
 def qbinom_lemma_lower(m: int, l: int) -> bool:
     """sum_j (-1)^j q^C(j,2) [2m-j, l]_q [l, j]_q == q^(l(2m-l)), 0 <= l <= 2m."""
-    lhs = ZERO
-    for j in range(l + 1):
-        term = q_binomial(2 * m - j, l) * q_binomial(l, j) * monomial(1, eq=j * (j - 1) // 2)
-        lhs = lhs + (term if j % 2 == 0 else -term)
-    return lhs == monomial(1, eq=l * (2 * m - l))
+    return _lemma_sum(m, l, 0) == monomial(1, eq=l * (2 * m - l))
 
 
 def qbinom_lemma_upper(m: int, l: int) -> bool:
@@ -440,14 +421,6 @@ def qbinom_lemma_upper(m: int, l: int) -> bool:
     The exponent C(j-1, 2) follows the polynomial convention
     (j-1)(j-2)/2, which is 1 at j = 0.
     """
-    lhs = ZERO
-    for j in range(l + 1):
-        term = (
-            q_binomial(2 * m - j, l)
-            * q_binomial(l, j)
-            * monomial(1, eq=(j - 1) * (j - 2) // 2)
-        )
-        lhs = lhs + (term if j % 2 == 0 else -term)
     numerator = (
         monomial(1, eq=(l + 1) * (2 * m - l))
         - monomial(1, eq=l * (2 * m - l))
@@ -455,4 +428,4 @@ def qbinom_lemma_upper(m: int, l: int) -> bool:
         - monomial(1, eq=(l + 1) * (2 * m - l + 1))
     )
     rhs = exact_div_var(exact_div_pow_one_minus_q(numerator, 1), "q", 2 * m - 1)
-    return lhs == rhs
+    return _lemma_sum(m, l, 1) == rhs

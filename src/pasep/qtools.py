@@ -2,8 +2,11 @@
 
 Small, heavily reused primitives: q-integers, Gaussian binomials, rational
 q-Pochhammer evaluation, ordinary binomials with the out-of-range-zero
-convention, weighted lattice-prefix counting polynomials and the ballot-type
-kernel M(l, k) behind the hatted normal ordering.
+convention and weighted lattice-prefix counting polynomials.  Every closed
+formula is built from the three kernels defined only here: the ballot
+difference `ballot`, the alternating q-binomial sum `q_ballot_sum` (of which
+the hatted normal ordering's M(l, k) is one instance) and the homogeneous
+Rogers-Szego polynomial `rogers_szego`.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterable
 
 from .polyring import MPoly, ONE, Q, Y, ZERO, monomial
 
@@ -18,12 +22,17 @@ from .polyring import MPoly, ONE, Q, Y, ZERO, monomial
 def binomial(n: int, k: int) -> int:
     """C(n, k), defined as 0 whenever k < 0 or k > n.
 
-    The zero convention is load-bearing: every ballot-type difference in
-    this package silently relies on terms like C(N, j-1) vanishing at j=0.
+    The zero convention is load-bearing: `ballot` and the prefix counts
+    silently rely on terms like C(N, j-1) vanishing at j=0.
     """
     if n < 0 or k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def ballot(n: int, k: int) -> int:
+    """Ballot difference C(n, k) - C(n, k-1); 0 for k < 0 and k > n + 1."""
+    return binomial(n, k) - binomial(n, k - 1)
 
 
 def q_int(k: int) -> MPoly:
@@ -39,6 +48,27 @@ def q_binomial(n: int, k: int) -> MPoly:
     if k == 0 or k == n:
         return ONE
     return q_binomial(n - 1, k - 1) + Q**k * q_binomial(n - 1, k)
+
+
+def q_ballot_sum(n: int, weights: Iterable[MPoly | int]) -> MPoly:
+    """sum_i (-1)^i q^C(i+1,2) [n+i, i]_q weights[i] over the given weights.
+
+    The weights are integers or polynomials.  R(N, n), its y = 1 collapse
+    and M(l, k) (hence the Al-Salam-Chihara moment kernel) are instances.
+    """
+    acc = ZERO
+    for i, w in enumerate(weights):
+        if w:
+            acc = acc + monomial((-1) ** i, eq=i * (i + 1) // 2) * w * q_binomial(n + i, i)
+    return acc
+
+
+def rogers_szego(n: int, x: MPoly, z: MPoly) -> MPoly:
+    """Homogeneous Rogers-Szego polynomial sum_k [n, k]_q x^k z^(n-k)."""
+    acc = ZERO
+    for k in range(n + 1):
+        acc = acc + q_binomial(n, k) * x**k * z ** (n - k)
+    return acc
 
 
 def q_pochhammer_eval(x: Fraction, q: Fraction, k: int) -> Fraction:
@@ -75,7 +105,7 @@ def dyck_prefix_weighted(length: int, h: int) -> MPoly:
     if h < 0 or h > length or (length - h) % 2:
         return ZERO
     k = (length - h) // 2
-    return monomial(binomial(length, k) - binomial(length, k - 1), ey=k)
+    return monomial(ballot(length, k), ey=k)
 
 
 def touchard_M(l: int, k: int) -> MPoly:
@@ -88,11 +118,4 @@ def touchard_M(l: int, k: int) -> MPoly:
         return ZERO
     if 2 * l > k:
         raise ValueError("touchard_M requires 0 <= 2l <= k")
-    acc = ZERO
-    for u in range(l + 1):
-        c = binomial(k, l - u) - binomial(k, l - u - 1)
-        if not c:
-            continue
-        term = q_binomial(k - 2 * l + u, u) * monomial(c, eq=u * (u + 1) // 2)
-        acc = acc + (term if u % 2 == 0 else -term)
-    return Y**l * acc
+    return Y**l * q_ballot_sum(k - 2 * l, [ballot(k, l - u) for u in range(l + 1)])

@@ -28,8 +28,8 @@ from itertools import combinations_with_replacement
 from operator import lt, ne
 from typing import Iterator
 
-from .polyring import MPoly, ZERO, Y, B, Exponent, monomial
-from .qtools import q_binomial
+from .polyring import MPoly, Y, A, B, Exponent
+from .qtools import rogers_szego
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,7 @@ def top_degree_check(n: int) -> MPoly:
         )
     )
 
-    closed = ZERO
-    for k in range(n + 1):
-        closed = closed + q_binomial(n, k) * monomial(1, ea=k) * (Y * B) ** (n - k)
+    closed = rogers_szego(n, A, Y * B)
     if filtered != closed:
         raise AssertionError("top-degree tableaux slice differs from q-binomial sum")
     return closed

@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pasep.cli import run
+from pasep.verify import GOLDEN
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_zn_closed(capsys):
@@ -127,3 +134,17 @@ def test_verify_symmetry(capsys):
     assert run(["verify", "--suite", "symmetry", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+
+
+def test_partition_tables_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "partition_tables.py"), "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1:5] == [f"  Z({n}) = {GOLDEN[n]}" for n in range(4)]

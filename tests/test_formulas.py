@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from pasep.ansatz import hatted_closed_form
 from pasep.formulas import (
     B_formula,
     R_formula,
@@ -47,7 +49,8 @@ from pasep.polyring import (
     substitute,
     y_reflect,
 )
-from pasep.qtools import binomial
+from pasep.qtools import binomial, touchard_M
+from pasep.tableaux import top_degree_check
 
 GOLDEN = {
     0: "1",
@@ -260,3 +263,51 @@ def test_qbinom_lemmas():
             assert qbinom_lemma_lower(m, l), (m, l)
         for l in range(1, 2 * m + 1):
             assert qbinom_lemma_upper(m, l), (m, l)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: R_y1(3, 5),
+        lambda: R_y1(3, -1),
+        lambda: B_formula(-1),
+        lambda: asc_mom_closed(-1),
+        lambda: mu_from_Z(-1),
+        lambda: zn_cas1(-1),
+    ],
+    ids=["R_y1(3,5)", "R_y1(3,-1)", "B_formula", "asc_mom_closed", "mu_from_Z", "zn_cas1"],
+)
+def test_out_of_range_input_is_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def _closed_formula_lines():
+    for N in range(13):
+        for n in range(N + 1):
+            yield f"R {N} {n} {canonical_string(R_formula(N, n))}"
+            yield f"R_y1 {N} {n} {canonical_string(R_y1(N, n))}"
+        yield f"B {N} {canonical_string(B_formula(N))}"
+        yield f"asc {N} {canonical_string(asc_mom_closed(N))}"
+    for k in range(15):
+        for l in range(k // 2 + 1):
+            yield f"M {l} {k} {canonical_string(touchard_M(l, k))}"
+    for n in range(16):
+        yield f"E {n} {canonical_string(q_tangent_secant(n))}"
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for method in ("carl1", "carl2"):
+                yield f"S2 {method} {n} {k} {canonical_string(q_stirling2(n, k, method))}"
+    for n in range(7):
+        yield f"top {n} {canonical_string(top_degree_check(n))}"
+    for k in range(11):
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                yield f"hat {k} {i} {j} {canonical_string(hatted_closed_form(k, i, j))}"
+
+
+def test_closed_formulas_are_pinned():
+    # SHA-256 over the canonical strings of every closed formula built on the
+    # qtools kernels, so a kernel change that alters any one output fails here
+    digest = hashlib.sha256("\n".join(_closed_formula_lines()).encode()).hexdigest()
+    assert digest == "13f4ba2c8fb72b040b9c0f2ae299230ee642d1856a09d9654431e928ada7a06e"

@@ -1,14 +1,17 @@
 from fractions import Fraction
 from itertools import product
 
-from pasep.polyring import ONE, Q, Y, ZERO, monomial, parse_poly, substitute
+from pasep.polyring import A, B, ONE, Q, Y, ZERO, monomial, parse_poly, substitute
 from pasep.qtools import (
+    ballot,
     binomial,
     dyck_prefix_weighted,
     motzkin_prefix_gf,
+    q_ballot_sum,
     q_binomial,
     q_int,
     q_pochhammer_eval,
+    rogers_szego,
     touchard_M,
 )
 
@@ -48,6 +51,41 @@ def test_binomial_conventions():
     assert binomial(5, -1) == 0
     assert binomial(4, 2) == 6
     assert binomial(6, 7) == 0
+
+
+def test_ballot_out_of_range_zeros():
+    for n in range(8):
+        for k in range(-3, 0):
+            assert ballot(n, k) == 0
+        for k in range(n + 2, n + 5):
+            assert ballot(n, k) == 0
+        for k in range(n + 2):
+            assert ballot(n, k) == -ballot(n, n + 1 - k)
+    assert ballot(4, 2) == 2
+    assert ballot(-1, 0) == 0
+
+
+def test_rogers_szego_at_q1_is_binomial_expansion():
+    x, z = A + Y, 2 * ONE - B
+    for n in range(7):
+        assert substitute(rogers_szego(n, x, z), "q", ONE) == substitute((x + z) ** n, "q", ONE)
+    assert rogers_szego(2, A, B) == A**2 + (ONE + Q) * A * B + B**2
+
+
+def test_q_ballot_sum_is_its_docstring():
+    def literal(n, weights):
+        total = ZERO
+        for i, w in enumerate(weights):
+            total = total + (-1) ** i * Q ** (i * (i + 1) // 2) * q_binomial(n + i, i) * w
+        return total
+
+    for n in range(7):
+        for length in range(5):
+            ints = [3 * i - 3 for i in range(length)]
+            polys = [(ONE + Y) ** i - i * A for i in range(length)]
+            assert q_ballot_sum(n, ints) == literal(n, ints)
+            assert q_ballot_sum(n, polys) == literal(n, polys)
+    assert q_ballot_sum(0, []) == ZERO
 
 
 def _brute_motzkin_prefixes(N, h):
