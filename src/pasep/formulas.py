@@ -120,6 +120,8 @@ def zn_cas1(N: int) -> MPoly:
 @lru_cache(maxsize=None)
 def zn_product_y1q1(N: int) -> MPoly:
     """The y = q = 1 evaluation: rising product of (a + b + i) over i < N."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc = ONE
     a_plus_b = monomial(1, ea=1) + monomial(1, eb=1)
     for i in range(N):
@@ -222,6 +224,8 @@ def stanton_moment_eval(N: int, a, b, q) -> Fraction:
     Raises SingularPoint when a = 0, q = 0 or any denominator factor
     vanishes; callers resample.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     a, b, q = Fraction(a), Fraction(b), Fraction(q)
     if a == 0 or q == 0:
         raise SingularPoint("a = 0 or q = 0")
@@ -322,6 +326,8 @@ def q_stirling1_extract(N: int, k: int, via: str = "minima") -> MPoly:
     y = b = 1 (via="maxima"); the particle-hole symmetry makes the two
     extractions agree.
     """
+    if not 0 <= k <= N:
+        raise ValueError("need 0 <= k <= N")
     z = substitute(zn_closed(N), "y", ONE)
     if via == "minima":
         return coeff_of(substitute(z, "a", ONE), "b", k)

@@ -175,6 +175,8 @@ def top_degree_check(n: int) -> MPoly:
     gives sum_k [n,k]_q a^k (y b)^(n-k); both sides are computed and the
     equality is asserted before returning the polynomial.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     filtered = MPoly(
         Counter(
             _key(st)

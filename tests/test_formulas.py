@@ -274,8 +274,25 @@ def test_qbinom_lemmas():
         lambda: asc_mom_closed(-1),
         lambda: mu_from_Z(-1),
         lambda: zn_cas1(-1),
+        lambda: zn_product_y1q1(-1),
+        lambda: stanton_moment_eval(-1, 2, 3, Fraction(1, 2)),
+        lambda: q_stirling1_extract(3, 7),
+        lambda: q_stirling1_extract(3, -1),
+        lambda: top_degree_check(-1),
     ],
-    ids=["R_y1(3,5)", "R_y1(3,-1)", "B_formula", "asc_mom_closed", "mu_from_Z", "zn_cas1"],
+    ids=[
+        "R_y1(3,5)",
+        "R_y1(3,-1)",
+        "B_formula",
+        "asc_mom_closed",
+        "mu_from_Z",
+        "zn_cas1",
+        "zn_product_y1q1",
+        "stanton_moment_eval",
+        "q_stirling1_extract(3,7)",
+        "q_stirling1_extract(3,-1)",
+        "top_degree_check",
+    ],
 )
 def test_out_of_range_input_is_rejected(call):
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from pasep.ansatz import hatted_coeffs, normal_order, zn_hatted, zn_matrix, zn_normal
+from pasep.bijections import _bicolor_options
 from pasep.formulas import (
     B_formula,
     R_formula,
@@ -17,7 +18,10 @@ from pasep.paths import (
     UP,
     MalformedPath,
     MomentRecurrence,
+    _CORE_OPTIONS,
+    _family_walk,
     _history_key,
+    _laguerre_options,
     count_family,
     dyck_pair_sum_q0,
     enumerate_B_star,
@@ -32,6 +36,7 @@ from pasep.paths import (
     is_valid_family_path,
     is_valid_history,
     jfraction_moment,
+    motzkin_walks,
     path_weight,
     peaks,
     returns,
@@ -217,6 +222,7 @@ def test_count_family_matches_enumeration():
         zn_histories,
         lambda n: list(enumerate_laguerre(n)),
         lambda n: list(enumerate_tableaux(n)),
+        dyck_pair_sum_q0,
     ],
     ids=[
         "sum_B",
@@ -234,6 +240,7 @@ def test_count_family_matches_enumeration():
         "zn_histories",
         "enumerate_laguerre",
         "enumerate_tableaux",
+        "dyck_pair_sum_q0",
     ],
 )
 def test_negative_length_is_rejected(build):
@@ -293,3 +300,46 @@ def test_dyck_pair_sum():
 def test_dyck_enumeration_catalan():
     for n in range(7):
         assert sum(1 for _ in enumerate_dyck(n)) == math.comb(2 * n, n) // (n + 1)
+
+
+def _dfs_walks(N, options):
+    """Reference walker: the depth-first recursion, taking a step only when it
+    lands at a height from 0 up to the number of steps left."""
+    out = []
+
+    def walk(path, h):
+        left = N - len(path) - 1
+        if left < 0:
+            out.append(tuple(path))
+            return
+        for label, dh in options(h):
+            if 0 <= h + dh <= left:
+                walk([*path, label], h + dh)
+
+    walk([], 0)
+    return out
+
+
+WALK_OPTIONS = {
+    "dyck": lambda h: ((UP, 1), (DOWN, -1)),
+    "laguerre": _laguerre_options,
+    "P": _family_walk("P"),
+    "R*": _family_walk("R*"),
+    "B*": _family_walk("B*"),
+    "core": lambda h: _CORE_OPTIONS,
+    "bicolor": _bicolor_options,
+}
+
+
+@pytest.mark.parametrize("kind", WALK_OPTIONS)
+def test_walks_match_depth_first_oracle(kind):
+    options = WALK_OPTIONS[kind]
+    for N in range(9):
+        assert list(motzkin_walks(N, options)) == _dfs_walks(N, options), N
+
+
+def test_walk_edge_cases():
+    assert list(motzkin_walks(0, lambda h: ((UP, 1),))) == [()]
+    for N in range(1, 6):
+        assert list(motzkin_walks(N, lambda h: ((UP, 1),))) == []
+    assert sum(1 for _ in enumerate_dyck(12)) == 208012
