@@ -115,9 +115,10 @@ class FZStepInfo:
     type2: bool
 
 
-def fz_step_types(sigma: Perm) -> list[FZStepInfo]:
+def fz_step_types(sigma: Perm, history: tuple[LaguerreStep, ...]) -> list[FZStepInfo]:
     """Per-index report backing the left-to-right-maximum and
-    right-to-left-minimum characterizations of type 1 / type 2 steps."""
+    right-to-left-minimum characterizations of type 1 / type 2 steps;
+    history is foata_zeilberger(sigma)."""
     n = len(sigma)
     out = []
     running_max = 0
@@ -125,7 +126,7 @@ def fz_step_types(sigma: Perm) -> list[FZStepInfo]:
     suffix_min[n + 1] = n + 1
     for i in range(n, 0, -1):
         suffix_min[i] = min(sigma[i - 1], suffix_min[i + 1])
-    for i, (t1, t2) in enumerate(history_type_flags(foata_zeilberger(sigma)), start=1):
+    for i, (t1, t2) in enumerate(history_type_flags(history), start=1):
         running_max = max(running_max, sigma[i - 1])
         out.append(
             FZStepInfo(
@@ -202,10 +203,12 @@ class FVStepInfo:
     type1_all_left: bool  # every type 1 step lies strictly left of step i
 
 
-def fv_step_types(sigma: Perm) -> list[FVStepInfo]:
+def fv_step_types(sigma: Perm, history: tuple[LaguerreStep, ...]) -> list[FVStepInfo]:
+    """Per-value report backing the right-to-left characterizations of the
+    Francon-Viennot step types; history is francon_viennot(sigma)."""
     n = len(sigma)
     inv = inverse(sigma)
-    flags = history_type_flags(francon_viennot(sigma))
+    flags = history_type_flags(history)
     suffix_min = [0] * (n + 2)
     suffix_max = [0] * (n + 2)
     suffix_min[n + 1] = n + 1

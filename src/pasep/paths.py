@@ -29,8 +29,11 @@ Three layers live here:
 
 * Plain Dyck paths with returns/peaks statistics, Fine paths, and the
   q=0 Dyck-pair evaluation of the partition function.  fine_poly_paths
-  reads the peaks and the no-hill rule in one scan per path; is_fine and
-  peaks stay the definitions.
+  never builds a whole path: it scans each half that motzkin_walks would
+  join once, counts the halves by junction height, peaks and junction
+  step, and joins those counts height by height, adding the peak (or
+  dropping the hill) made at the junction; is_fine and peaks stay the
+  definitions.
 
 Every weighted sum (families P, R, B, their cardinalities, J-fraction
 moments, and the transfer matrices of the ansatz module) is one call of
@@ -349,7 +352,10 @@ def motzkin_walks(N: int, options: Options) -> Iterator[tuple]:
     return _join_halves(N, options)
 
 
-def _join_halves(N: int, options: Options) -> Iterator[tuple]:
+def _halves(N: int, options: Options) -> tuple[list[tuple[tuple, int]], list[list[tuple]]]:
+    """The two halves that motzkin_walks joins: every (prefix, end height) of
+    the first N - N // 2 steps, and suffixes[h], every path of the last
+    N // 2 steps from height h back to 0, each list in depth-first order."""
     half = N // 2
     # table[h]: (label, height after the step) for each step from h that stays >= 0
     table = [[(label, h + dh) for label, dh in options(h) if h + dh >= 0] for h in range(half + 1)]
@@ -366,6 +372,11 @@ def _join_halves(N: int, options: Options) -> Iterator[tuple]:
     prefixes = [((), 0)]
     for left in range(N - 1, half - 1, -1):
         prefixes = [((*p, label), g) for p, h in prefixes for label, g in table[h] if g <= left]
+    return prefixes, suffixes
+
+
+def _join_halves(N: int, options: Options) -> Iterator[tuple]:
+    prefixes, suffixes = _halves(N, options)
     for p, h in prefixes:
         for t in suffixes[h]:
             yield p + t
@@ -532,9 +543,13 @@ def peaks(steps) -> int:
     return sum(1 for i in range(len(steps) - 1) if steps[i] == UP and steps[i + 1] == DOWN)
 
 
+def _dyck_options(h: int) -> tuple[tuple[str, int], ...]:
+    return (UP, 1), (DOWN, -1)
+
+
 def enumerate_dyck(n: int) -> Iterator[tuple[str, ...]]:
     """All Dyck paths with 2n steps."""
-    return motzkin_walks(2 * n, lambda h: ((UP, 1), (DOWN, -1)))
+    return motzkin_walks(2 * n, _dyck_options)
 
 
 def is_fine(steps: tuple[str, ...]) -> bool:
@@ -547,10 +562,12 @@ def is_fine(steps: tuple[str, ...]) -> bool:
     return True
 
 
-def _fine_peaks(steps: tuple[str, ...]) -> int:
-    """Peaks of a Dyck path, or -1 when it is not Fine: one scan that reads
-    both peaks and is_fine."""
-    h = count = 0
+def _fine_peaks(steps: tuple[str, ...], h: int = 0) -> int:
+    """Peaks of a Dyck path piece that starts at height h, or -1 when one of
+    them lands at height 0 (a hill, so the path is not Fine): one scan that
+    reads both peaks and is_fine.  A peak across the piece's left end is not
+    seen."""
+    count = 0
     prev = DOWN
     for s in steps:
         if s == UP:
@@ -567,8 +584,34 @@ def _fine_peaks(steps: tuple[str, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def fine_poly_paths(n: int) -> MPoly:
-    """F_n(y): peak distribution over Fine paths of length 2n."""
-    return MPoly(Counter((p, 0, 0, 0) for p in map(_fine_peaks, enumerate_dyck(n)) if p >= 0))
+    """F_n(y): peak distribution over Fine paths of length 2n.
+
+    Joins the two halves that enumerate_dyck joins, but by histogram: each
+    half is scanned once (_fine_peaks) and counted by its height at the
+    junction, its peaks and whether it meets the junction with an up step
+    (prefix) or a down step (suffix).  Halves with a hill are dropped.  A
+    prefix ending up and a suffix starting down make one more peak at the
+    junction, which is a hill when the junction is at height 1.
+    """
+    prefixes, suffixes = _halves(2 * n, _dyck_options)
+    ends = [Counter() for _ in suffixes]
+    for p, h in prefixes:
+        k = _fine_peaks(p)
+        if k >= 0:
+            ends[h][k, p[-1:] == (UP,)] += 1
+    total: Counter = Counter()
+    for h, (ending, starting) in enumerate(zip(ends, suffixes)):
+        begins: Counter = Counter()
+        for t in starting:
+            k = _fine_peaks(t, h)
+            if k >= 0:
+                begins[k, t[:1] == (DOWN,)] += 1
+        for (k1, up), c1 in ending.items():
+            for (k2, down), c2 in begins.items():
+                junction = up and down
+                if not (junction and h == 1):
+                    total[k1 + k2 + junction, 0, 0, 0] += c1 * c2
+    return MPoly(total)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,11 @@ stats computes all nine by direct definition and is the reference for
 them.  Each permutation route reads four: zn_perm_asc312 keys every
 permutation by _asc312_key, which computes only (asc, 31-2, s, t) in one
 function, while zn_perm_wexcr stays on stats (see its comment).
+
+alternating_E counts 31-2 patterns on down-up permutations without listing
+them: a depth-first search over prefixes adds, as each value is placed, the
+descents already completed that straddle it.  enumerate_alternating and
+p31_2 are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ Perm = tuple[int, ...]
 
 def enumerate_permutations(n: int) -> Iterator[Perm]:
     """All n! permutations of {1..n} in lexicographic one-line order."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return _lex_permutations(range(1, n + 1))
 
 
@@ -182,9 +189,8 @@ def zn_perm_asc312(N: int) -> MPoly:
 
 def enumerate_alternating(n: int) -> Iterator[Perm]:
     """Down-up alternating permutations: sigma(1) > sigma(2) < sigma(3) > ..."""
-    if n == 0:
-        yield ()
-        return
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
     def rec(prefix: list[int], used: int):
         k = len(prefix)
@@ -203,12 +209,44 @@ def enumerate_alternating(n: int) -> Iterator[Perm]:
             yield from rec(prefix, used | (1 << v))
             prefix.pop()
 
-    yield from rec([], 0)
+    return rec([], 0)
 
 
 @lru_cache(maxsize=None)
 def alternating_E(n: int) -> MPoly:
-    """E_n(q): 31-2 pattern distribution over alternating permutations."""
+    """E_n(q): 31-2 pattern distribution over alternating permutations.
+
+    A depth-first search over down-up prefixes that carries the 31-2 count;
+    enumerate_alternating and p31_2 are the definition it equals.  cover[v]
+    is the number of descents sigma(i) > sigma(i+1), completed at a position
+    i + 1 already placed, with sigma(i+1) < v < sigma(i); placing v adds
+    cover[v], and completing a descent raises cover across it until the
+    search backs out of that position.
+    """
     if n < 1:
         raise ValueError("alternating_E requires n >= 1")
-    return MPoly(Counter((0, p31_2(sigma), 0, 0) for sigma in enumerate_alternating(n)))
+    counts: Counter = Counter()
+    cover = [0] * (n + 1)
+    values = (1 << n + 1) - 2  # bit v set for each value v in 1..n
+
+    def place(k: int, last: int, used: int, count: int) -> None:
+        # k values placed, the last of them `last`; position k + 1 is next
+        if k == n - 1:  # the last value is forced
+            v = (values ^ used).bit_length() - 1
+            if (v < last) if k % 2 else (v > last):
+                counts[0, count + cover[v], 0, 0] += 1
+        elif k % 2:
+            for v in range(1, last):
+                if not used >> v & 1:
+                    for w in range(v + 1, last):
+                        cover[w] += 1
+                    place(k + 1, v, used | 1 << v, count + cover[v])
+                    for w in range(v + 1, last):
+                        cover[w] -= 1
+        else:
+            for v in range(last + 1, n + 1):
+                if not used >> v & 1:
+                    place(k + 1, v, used | 1 << v, count + cover[v])
+
+    place(0, 0, 0, 0)
+    return MPoly(counts)

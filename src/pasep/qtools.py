@@ -96,18 +96,6 @@ def motzkin_prefix_gf(N: int, h: int) -> MPoly:
     return MPoly(out)
 
 
-def dyck_prefix_weighted(length: int, h: int) -> MPoly:
-    """Dyck prefixes of given length and final height h, weight y per down step.
-
-    Zero unless length >= h >= 0 with length and h of equal parity; otherwise
-    y^((length-h)/2) (C(length,(length-h)/2) - C(length,(length-h)/2 - 1)).
-    """
-    if h < 0 or h > length or (length - h) % 2:
-        return ZERO
-    k = (length - h) // 2
-    return monomial(ballot(length, k), ey=k)
-
-
 def touchard_M(l: int, k: int) -> MPoly:
     """Ballot-difference kernel M(l, k).
 

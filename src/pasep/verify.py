@@ -137,7 +137,10 @@ def specialization_suite(max_n: int | None = None) -> VerifyReport:
 def bijection_suite(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("bijections")
     cap = _cap(7, max_n)
+    u_prime_forms = []  # per n, the Counter of (wex - 1, cr, u', v) over S_n
     for n in range(cap + 1):
+        u_prime_form: Counter = Counter()
+        u_prime_forms.append(u_prime_form)
         fz_ok = fv_ok = True
         fz_wt = fv_wt = True
         lem1 = lem2 = lem3 = lem4 = lem5 = True
@@ -145,6 +148,7 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
         seen_fv: set = set()
         for sigma in perms.enumerate_permutations(n):
             st = perms.stats(sigma)
+            u_prime_form[st.wex - 1, st.cr, st.u_prime, st.v] += 1
             hz = bijections.foata_zeilberger(sigma)
             hv = bijections.francon_viennot(sigma)
             seen_fz.add(hz)
@@ -159,7 +163,7 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
                 fz_wt = False
             if paths.history_weight(hv) != monomial(1, ey=st.asc, eq=st.p31_2):
                 fv_wt = False
-            for info in bijections.fz_step_types(sigma):
+            for info in bijections.fz_step_types(sigma, hz):
                 if info.lr_max != info.type1:
                     lem1 = False
                 if not info.fixed_point and info.rl_min != info.type2:
@@ -170,7 +174,7 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
                 lem3 = False
             if (st.u, st.wex, st.v, st.cr) != (st_t.u_prime, st_t.wex, st_t.v, st_t.cr):
                 lem3 = False
-            infos = bijections.fv_step_types(sigma)
+            infos = bijections.fv_step_types(sigma, hv)
             inv = perms.inverse(sigma)
             for i, info in enumerate(infos, start=1):
                 if info.rl_min != info.type1:
@@ -190,13 +194,9 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
         rep.check(f"FV type-1 steps are the right-to-left minima, n={n}", lem4)
         rep.check(f"FV type-2-after-type-1 are the right-to-left maxima, n={n}", lem5)
     for N in range(cap):
-        u_prime_form = Counter(
-            (st.wex - 1, st.cr, st.u_prime, st.v)
-            for st in map(perms.stats, perms.enumerate_permutations(N + 1))
-        )
         rep.check_eq(
             f"history route equals the u'-form permutation sum, N={N}",
-            MPoly(u_prime_form),
+            MPoly(u_prime_forms[N + 1]),
             paths.zn_histories(N),
         )
     bic = True

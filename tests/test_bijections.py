@@ -76,7 +76,7 @@ def test_fz_weight_law():
 def test_fz_step_type_lemmas():
     for n in range(7):
         for sigma in enumerate_permutations(n):
-            for info in fz_step_types(sigma):
+            for info in fz_step_types(sigma, foata_zeilberger(sigma)):
                 assert info.lr_max == info.type1
                 if not info.fixed_point:
                     assert info.rl_min == info.type2
@@ -92,7 +92,7 @@ def test_fv_large_figure():
     st = stats(FIG4_PERM)
     assert history_weight(h) == monomial(1, ey=5, eq=7)
     assert (st.s, st.t, st.asc, st.p31_2) == (3, 4, 5, 7)
-    flags = fv_step_types(FIG4_PERM)
+    flags = fv_step_types(FIG4_PERM, h)
     assert sum(1 for f in flags if f.type1) == 4
     assert sum(1 for f in flags if f.type2 and f.type1_all_left) == 2
     assert francon_viennot_inverse(h) == FIG4_PERM
@@ -119,7 +119,7 @@ def test_fv_weight_law_and_lemmas():
             h = francon_viennot(sigma)
             assert history_weight(h) == monomial(1, ey=st.asc, eq=st.p31_2)
             inv = inverse(sigma)
-            for i, info in enumerate(fv_step_types(sigma), start=1):
+            for i, info in enumerate(fv_step_types(sigma, h), start=1):
                 assert info.rl_min == info.type1
                 if inv[i - 1] < n:
                     assert info.rl_max == (info.type2 and info.type1_all_left)

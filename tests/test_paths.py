@@ -47,7 +47,7 @@ from pasep.paths import (
     zn_histories,
     zn_paths,
 )
-from pasep.perms import zn_perm_asc312, zn_perm_wexcr
+from pasep.perms import enumerate_alternating, enumerate_permutations, zn_perm_asc312, zn_perm_wexcr
 from pasep.polyring import (
     ALPHA_TILDE,
     BETA_TILDE,
@@ -223,6 +223,8 @@ def test_count_family_matches_enumeration():
         lambda n: list(enumerate_laguerre(n)),
         lambda n: list(enumerate_tableaux(n)),
         dyck_pair_sum_q0,
+        enumerate_permutations,
+        enumerate_alternating,
     ],
     ids=[
         "sum_B",
@@ -241,6 +243,8 @@ def test_count_family_matches_enumeration():
         "enumerate_laguerre",
         "enumerate_tableaux",
         "dyck_pair_sum_q0",
+        "enumerate_permutations",
+        "enumerate_alternating",
     ],
 )
 def test_negative_length_is_rejected(build):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 from pasep.perms import (
     _asc312_key,
     alternating_E,
@@ -11,7 +13,7 @@ from pasep.perms import (
     zn_perm_asc312,
     zn_perm_wexcr,
 )
-from pasep.polyring import ONE, Q, canonical_string, substitute, y_reflect
+from pasep.polyring import MPoly, ONE, Q, canonical_string, substitute, y_reflect
 
 GOLDEN_Z1 = "y*b + a"
 GOLDEN_Z2 = "y^2*b^2 + y*q*a*b + y*a*b + y*a + y*b + a^2"
@@ -111,6 +113,12 @@ def test_alternating_counts():
     expected = [1, 1, 2, 5, 16, 61, 272]
     for n, cnt in enumerate(expected, start=1):
         assert sum(1 for _ in enumerate_alternating(n)) == cnt
+
+
+def test_alternating_E_matches_the_definition():
+    for n in range(1, 10):
+        want = Counter((0, p31_2(sigma), 0, 0) for sigma in enumerate_alternating(n))
+        assert alternating_E(n) == MPoly(want), n
 
 
 def test_alternating_E_small():

@@ -5,7 +5,6 @@ from pasep.polyring import A, B, ONE, Q, Y, ZERO, monomial, parse_poly, substitu
 from pasep.qtools import (
     ballot,
     binomial,
-    dyck_prefix_weighted,
     motzkin_prefix_gf,
     q_ballot_sum,
     q_binomial,
@@ -117,36 +116,6 @@ def test_motzkin_prefix_exhaustive():
     for N in range(8):
         for h in range(N + 1):
             assert motzkin_prefix_gf(N, h) == _brute_motzkin_prefixes(N, h), (N, h)
-
-
-def _brute_dyck_prefixes(length, h):
-    total = ZERO
-    for steps in product((1, -1), repeat=length):
-        height = 0
-        ok = True
-        downs = 0
-        for s in steps:
-            height += s
-            if height < 0:
-                ok = False
-                break
-            if s == -1:
-                downs += 1
-        if ok and height == h:
-            total = total + Y**downs
-    return total
-
-
-def test_dyck_prefix_exhaustive():
-    for length in range(15):
-        for h in range(length + 2):
-            assert dyck_prefix_weighted(length, h) == _brute_dyck_prefixes(length, h)
-
-
-def test_dyck_prefix_frozen():
-    assert dyck_prefix_weighted(3, 3) == ONE
-    assert dyck_prefix_weighted(2, 0) == Y
-    assert dyck_prefix_weighted(3, 0) == ZERO
 
 
 def test_touchard_M():

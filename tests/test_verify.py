@@ -1,3 +1,5 @@
+import hashlib
+
 import pasep.verify as verify
 from pasep.polyring import ONE, Y, canonical_string
 
@@ -19,3 +21,13 @@ def test_check_eq_records_rendered_detail_only_on_failure(monkeypatch):
     assert rep.checks == ["equal", "differ"]
     assert rep.failures == [("differ", "got y^2 + 1 want y")]
     assert not rep.ok
+
+
+# SHA-256 of the newline-joined check names of `verify --suite all --max-n 5`,
+# in run order; renaming, dropping or reordering any check changes it.
+CHECK_NAMES_MAX_N5 = (413, "2afec4c72bbe350fd226f3ee805277ff764db43494f07e2073d21168b36c12c4")
+
+
+def test_check_names_are_pinned():
+    names = [name for rep in verify.run_suite("all", max_n=5) for name in rep.checks]
+    assert (len(names), hashlib.sha256("\n".join(names).encode()).hexdigest()) == CHECK_NAMES_MAX_N5
