@@ -46,7 +46,6 @@ from .tableaux import (
     PermutationTableau,
     enumerate_tableaux,
     tableau_stats,
-    top_degree_check,
     zn_tableaux,
 )
 from .paths import (

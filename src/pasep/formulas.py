@@ -319,23 +319,6 @@ def q_stirling2(n: int, k: int, method: str = "recurrence") -> MPoly:
     raise ValueError(f"unknown method {method!r}")
 
 
-def q_stirling1_extract(N: int, k: int, via: str = "minima") -> MPoly:
-    """q-analog of the first-kind Stirling numbers as a Z-coefficient.
-
-    Coefficient of b^k in Z(N) at y = a = 1 (via="minima"), or of a^k at
-    y = b = 1 (via="maxima"); the particle-hole symmetry makes the two
-    extractions agree.
-    """
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
-    z = substitute(zn_closed(N), "y", ONE)
-    if via == "minima":
-        return coeff_of(substitute(z, "a", ONE), "b", k)
-    if via == "maxima":
-        return coeff_of(substitute(z, "b", ONE), "a", k)
-    raise ValueError(f"unknown extraction {via!r}")
-
-
 # ---------------------------------------------------------------------------
 # q-Eulerian extraction and the classical reference triangles
 # ---------------------------------------------------------------------------

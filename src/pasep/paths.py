@@ -39,7 +39,7 @@ Every weighted sum (families P, R, B, their cardinalities, J-fraction
 moments, and the transfer matrices of the ansatz module) is one call of
 motzkin_sum, a height-indexed dynamic program over Motzkin paths that
 drops every height above the number of steps left.  Every explicit path
-(Laguerre histories, families P/R*/B*, core, Dyck and bicolor paths) is
+(Laguerre histories, families P/R*/B*, Dyck and bicolor paths) is
 enumerated by motzkin_walks with the same pruning, which joins each listed
 prefix of the first half of the steps to each listed suffix of the second
 half, and histories, family paths and bicolor paths are checked by
@@ -208,12 +208,12 @@ def _tag_entry(tag: tuple) -> tuple[Callable[..., MPoly], Callable[..., str]]:
     return _TAGS[tag[0]]
 
 
-def step_weight(d: str, tag: tuple, h: int) -> MPoly:
+def step_weight(tag: tuple, h: int) -> MPoly:
     """Resolve a symbolic step tag at starting height h to its polynomial."""
     return _tag_entry(tag)[0](h, *tag[1:])
 
 
-def step_weight_string(d: str, tag: tuple, h: int) -> str:
+def step_weight_string(tag: tuple, h: int) -> str:
     return _tag_entry(tag)[1](h, *tag[1:])
 
 
@@ -221,7 +221,7 @@ def path_weight(steps: tuple[Step, ...]) -> MPoly:
     w = ONE
     h = 0
     for d, tag in steps:
-        w = w * step_weight(d, tag, h)
+        w = w * step_weight(tag, h)
         h += _DH[d]
     return w
 
@@ -230,7 +230,7 @@ def path_json(steps: tuple[Step, ...]) -> dict:
     out = []
     h = 0
     for d, tag in steps:
-        out.append({"d": d, "w": step_weight_string(d, tag, h)})
+        out.append({"d": d, "w": step_weight_string(tag, h)})
         h += _DH[d]
     return {"steps": out}
 
@@ -398,8 +398,8 @@ def is_motzkin_walk(steps: Iterable, options: Options) -> bool:
     return h == 0
 
 
-def _family_steps(family: str, weigh: Callable[[str, tuple, int], MPoly]) -> StepWeights:
-    """Kernel weights of a family: at height h, the sum of weigh(d, tag, h)
+def _family_steps(family: str, weigh: Callable[[tuple, int], MPoly]) -> StepWeights:
+    """Kernel weights of a family: at height h, the sum of weigh(tag, h)
     over the admissible tags, each q-power level step also marked by a.
     Families R and R* contain no a, so there the a-degree counts those steps."""
 
@@ -407,7 +407,7 @@ def _family_steps(family: str, weigh: Callable[[str, tuple, int], MPoly]) -> Ste
         def weight(h: int) -> MPoly:
             total = ZERO
             for tag in _family_options(family, d, h):
-                w = weigh(d, tag, h)
+                w = weigh(tag, h)
                 total = total + (w * A if tag[0] == "qpow" else w)
             return total
 
@@ -439,40 +439,9 @@ def zn_paths(N: int) -> MPoly:
     return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps), N)
 
 
-_CORE_OPTIONS = (
-    ((UP, ("one",)), 1), ((UP, ("negq",)), 1), ((LEVEL, ("qpow",)), 0), ((DOWN, ("y",)), -1)
-)
-
-
-def enumerate_core(length: int, n_levels: int) -> Iterator[tuple[Step, ...]]:
-    """Core paths: length steps, exactly n_levels level steps, and no peak
-    whose up step carries weight 1.
-
-    Weights: up at height h is 1 or -q^(h+1), level at h is q^h, down is y
-    (the down steps carry the y-bookkeeping of the family-R paths they are
-    split off from).
-    """
-    walks = motzkin_walks(length, lambda h: _CORE_OPTIONS)
-    return (
-        p
-        for p in walks
-        if _q_levels(p) == n_levels
-        and not any(s == (UP, ("one",)) and t[0] == DOWN for s, t in zip(p, p[1:]))
-    )
-
-
-def core_sum(length: int, n_levels: int) -> MPoly:
-    """Weighted sum over the core family; closes to
-    (-y)^i q^(i(i+1)/2) [n+i, i]_q for length n + 2i."""
-    total = ZERO
-    for p in enumerate_core(length, n_levels):
-        total = total + path_weight(p)
-    return total
-
-
 def count_family(length: int, family: str, q_levels: int | None = None) -> int:
     """Unweighted cardinality (each discrete weight alternative counted once)."""
-    steps = _family_steps(family, lambda d, tag, h: ONE)
+    steps = _family_steps(family, lambda tag, h: ONE)
     counts = motzkin_sum(length, lambda k: steps)
     if q_levels is not None:
         counts = coeff_of(counts, "a", q_levels)

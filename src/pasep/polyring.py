@@ -46,14 +46,7 @@ class MPoly:
     __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[Exponent, int] | None = None):
-        t: dict[Exponent, int] = {}
-        if terms:
-            for exp, c in terms.items():
-                if c:
-                    t[exp] = t.get(exp, 0) + c
-                    if not t[exp]:
-                        del t[exp]
-        self._t = t
+        self._t = {exp: c for exp, c in terms.items() if c} if terms else {}
 
     @classmethod
     def _raw(cls, t: dict[Exponent, int]) -> "MPoly":
@@ -65,10 +58,6 @@ class MPoly:
 
     def items(self) -> Iterator[tuple[Exponent, int]]:
         return iter(self._t.items())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._t
 
     def num_terms(self) -> int:
         return len(self._t)

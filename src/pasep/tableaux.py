@@ -28,8 +28,7 @@ from itertools import combinations_with_replacement
 from operator import lt, ne
 from typing import Iterator
 
-from .polyring import MPoly, Y, A, B, Exponent
-from .qtools import rogers_szego
+from .polyring import MPoly, Exponent
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,6 @@ class PermutationTableau:
                 raise ValueError(f"column {j} has no 1")
             if error:
                 raise ValueError(error)
-
-    @property
-    def size(self) -> int:
-        return len(self.rows) + (self.rows[0] if self.rows else 0)
 
     def to_json(self) -> str:
         return json.dumps({"rows": list(self.rows), "fill": [list(r) for r in self.fill]})
@@ -166,26 +161,3 @@ def zn_tableaux(N: int) -> MPoly:
         raise ValueError("N must be >= 0")
     return MPoly(Counter(map(_key, map(tableau_stats, enumerate_tableaux(N + 1)))))
 
-
-def top_degree_check(n: int) -> MPoly:
-    """Top-degree slice of the tableaux route against the q-binomial sum.
-
-    Restricting to tableaux of size n+1 whose statistics satisfy
-    a + b = n + 1 (all-1 first row, no restricted rows, hence no 0 at all)
-    gives sum_k [n,k]_q a^k (y b)^(n-k); both sides are computed and the
-    equality is asserted before returning the polynomial.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    filtered = MPoly(
-        Counter(
-            _key(st)
-            for st in map(tableau_stats, enumerate_tableaux(n + 1))
-            if st.a + st.b == n + 1
-        )
-    )
-
-    closed = rogers_szego(n, A, Y * B)
-    if filtered != closed:
-        raise AssertionError("top-degree tableaux slice differs from q-binomial sum")
-    return closed

@@ -20,7 +20,6 @@ from pasep.formulas import (
     mu_from_Z,
     narayana_number,
     q_eulerian,
-    q_stirling1_extract,
     q_stirling2,
     q_tangent_secant,
     qbinom_lemma_lower,
@@ -43,14 +42,14 @@ from pasep.polyring import (
     Y,
     ZERO,
     canonical_string,
+    coeff_of,
     eval_rational,
     monomial,
     parse_poly,
     substitute,
     y_reflect,
 )
-from pasep.qtools import binomial, touchard_M
-from pasep.tableaux import top_degree_check
+from pasep.qtools import binomial, rogers_szego, touchard_M
 
 GOLDEN = {
     0: "1",
@@ -204,10 +203,13 @@ def test_q_stirling_routes_agree():
 
 
 def test_q_stirling_first_kind_extractions_agree():
+    # the first-kind q-Stirling numbers are the coefficient of b^k in Z(N) at
+    # y = a = 1, or of a^k at y = b = 1; particle-hole symmetry equates them
     for N in range(6):
+        z = substitute(zn_closed(N), "y", ONE)
         for k in range(N + 1):
-            via_min = q_stirling1_extract(N, k, "minima")
-            via_max = q_stirling1_extract(N, k, "maxima")
+            via_min = coeff_of(substitute(z, "a", ONE), "b", k)
+            via_max = coeff_of(substitute(z, "b", ONE), "a", k)
             assert via_min == via_max
             # pattern route: 31-2 distribution over permutations with k+1
             # right-to-left minima (resp. maxima)
@@ -276,9 +278,6 @@ def test_qbinom_lemmas():
         lambda: zn_cas1(-1),
         lambda: zn_product_y1q1(-1),
         lambda: stanton_moment_eval(-1, 2, 3, Fraction(1, 2)),
-        lambda: q_stirling1_extract(3, 7),
-        lambda: q_stirling1_extract(3, -1),
-        lambda: top_degree_check(-1),
     ],
     ids=[
         "R_y1(3,5)",
@@ -289,9 +288,6 @@ def test_qbinom_lemmas():
         "zn_cas1",
         "zn_product_y1q1",
         "stanton_moment_eval",
-        "q_stirling1_extract(3,7)",
-        "q_stirling1_extract(3,-1)",
-        "top_degree_check",
     ],
 )
 def test_out_of_range_input_is_rejected(call):
@@ -316,7 +312,7 @@ def _closed_formula_lines():
             for method in ("carl1", "carl2"):
                 yield f"S2 {method} {n} {k} {canonical_string(q_stirling2(n, k, method))}"
     for n in range(7):
-        yield f"top {n} {canonical_string(top_degree_check(n))}"
+        yield f"top {n} {canonical_string(rogers_szego(n, A, Y * B))}"
     for k in range(11):
         for i in range(k + 1):
             for j in range(k + 1 - i):

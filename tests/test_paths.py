@@ -18,10 +18,10 @@ from pasep.paths import (
     UP,
     MalformedPath,
     MomentRecurrence,
-    _CORE_OPTIONS,
     _family_walk,
     _history_key,
     _laguerre_options,
+    _q_levels,
     count_family,
     dyck_pair_sum_q0,
     enumerate_B_star,
@@ -123,7 +123,7 @@ def test_zn_histories_matches():
 def test_unknown_step_tag_is_rejected():
     for resolve in (step_weight, step_weight_string):
         with pytest.raises(ValueError, match="unknown step tag"):
-            resolve(UP, ("bogus",), 0)
+            resolve(("bogus",), 0)
 
 
 def test_family_P_small():
@@ -175,9 +175,26 @@ def test_zn_paths_matches_closed():
         assert zn_paths(N) == zn_closed(N)
 
 
+# Core paths: up steps of weight 1 or -q^(h+1), level steps q^h, down steps
+# y (the y-bookkeeping of the family-R paths they are split off from), with
+# no peak whose up step has weight 1.
+CORE_OPTIONS = (
+    ((UP, ("one",)), 1), ((UP, ("negq",)), 1), ((LEVEL, ("qpow",)), 0), ((DOWN, ("y",)), -1)
+)
+
+
+def core_sum(length, n_levels):
+    total = ZERO
+    for p in motzkin_walks(length, lambda h: CORE_OPTIONS):
+        if _q_levels(p) == n_levels and not any(
+            s == (UP, ("one",)) and t[0] == DOWN for s, t in zip(p, p[1:])
+        ):
+            total = total + path_weight(p)
+    return total
+
+
 def test_core_family_closed_form():
     # sum over core paths of length n + 2i with n levels
-    from pasep.paths import core_sum
     from pasep.qtools import q_binomial
 
     for n in range(5):
@@ -188,7 +205,6 @@ def test_core_family_closed_form():
 
 def test_prefix_core_factorization():
     # the R-family sum splits over prefixes and core paths
-    from pasep.paths import core_sum
     from pasep.qtools import motzkin_prefix_gf
 
     for N in range(6):
@@ -330,7 +346,7 @@ WALK_OPTIONS = {
     "P": _family_walk("P"),
     "R*": _family_walk("R*"),
     "B*": _family_walk("B*"),
-    "core": lambda h: _CORE_OPTIONS,
+    "core": lambda h: CORE_OPTIONS,
     "bicolor": _bicolor_options,
 }
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,12 @@ exponents = st.tuples(
     st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
 )
 polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(MPoly)
+
+
+def test_constructor_keeps_exactly_the_nonzero_terms():
+    counts = Counter({(0, 1, 0, 0): 3, (1, 0, 0, 0): 0, (0, 0, 2, 0): -2, (2, 0, 0, 1): 0, (0, 0, 0, 1): 1})
+    assert list(MPoly(counts).items()) == [((0, 1, 0, 0), 3), ((0, 0, 2, 0), -2), ((0, 0, 0, 1), 1)]
+    assert MPoly() == MPoly({}) == MPoly(None) == ZERO
 
 
 def test_difference_of_squares():

@@ -1,0 +1,117 @@
+"""Every function in the package runs from some command line entry point.
+
+A fresh interpreter drives `pasep.cli.run` over a small job list under
+`sys.setprofile` and reports every function it entered; the test then asks
+for each `def` in `src/pasep` (methods and nested functions included) to
+be among them.  The child is a new process so that `lru_cache`s warmed by
+earlier tests cannot hide a call.  Code that only tests reach belongs in
+the tests, or in ALLOWED with its reason.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pasep"
+
+JOBS = [
+    *(["zn", "--n", "3", "--method", m] for m in (
+        "closed", "matrix", "normal", "hatted", "paths", "perm-wex", "perm-asc", "tableaux", "histories",
+    )),
+    ["zn", "--n", "3", "--eval", "a=1/2,b=2,y=3,q=1/3"],
+    ["verify", "--suite", "all", "--max-n", "3"],
+    ["state", "--word", "DED"],
+    *(["enumerate", "--object", o, "--n", "2"] for o in (
+        "permutation", "tableau", "laguerre", "pathset-P", "pathset-R", "pathset-B",
+    )),
+    *(["special", "--what", w, "--n", "3"] for w in ("q-eulerian", "q-stirling", "fine", "tangent-secant")),
+]
+
+ALLOWED = {
+    "cli.main",  # the console script; it only wraps cli.run in sys.exit
+    # definitions that tests compare the fast code against
+    "paths.is_fine",
+    "paths.peaks",
+    "perms.enumerate_alternating",
+    "perms.enumerate_alternating.rec",
+    "polyring.parse_poly",  # documented inverse of the canonical format
+    "polyring.MPoly.num_terms",  # read by the benchmark tracer
+    "polyring.MPoly.deg",  # used by the y_reflect property test
+    # Python protocols
+    "polyring.MPoly.__rsub__",
+    "polyring.MPoly.__repr__",
+    # public inverse of the JSON that `enumerate --object tableau` prints
+    "tableaux.PermutationTableau.from_json",
+    # public pass/fail summary of a report; the CLI counts failures instead
+    "verify.VerifyReport.ok",
+}
+
+CHILD = """
+import contextlib, io, json, os, sys
+entered = set()
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+sys.setprofile(hook)
+import pasep.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(pasep.cli.run(argv))
+sys.setprofile(None)
+package = os.path.dirname(pasep.__file__)
+print(json.dumps({
+    "package": package,
+    "codes": codes,
+    "entered": sorted(
+        (os.path.basename(c.co_filename), c.co_firstlineno)
+        for c in entered if os.path.dirname(c.co_filename) == package
+    ),
+}))
+"""
+
+
+def _defs() -> dict[tuple[str, int], str]:
+    """(file name, first line) -> dotted name of every def in the package;
+    a decorated function's code starts at its first decorator."""
+    out = {}
+
+    def walk(node, prefix, file):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                out[file, first] = name
+                walk(child, name, file)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}.{child.name}", file)
+            else:
+                walk(child, prefix, file)
+
+    for path in PACKAGE.glob("*.py"):
+        walk(ast.parse(path.read_text()), path.stem, path.name)
+    return out
+
+
+def test_every_def_runs_from_an_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(JOBS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert Path(report["package"]) == PACKAGE
+    assert report["codes"] == [0] * len(JOBS)
+    defs = _defs()
+    never_run = set(defs.values()) - {defs.get(tuple(loc)) for loc in report["entered"]}
+    # an entry that no longer names an unreached def leaves the list
+    assert not ALLOWED - never_run, sorted(ALLOWED - never_run)
+    assert not never_run - ALLOWED, sorted(never_run - ALLOWED)

@@ -5,13 +5,13 @@ import pytest
 
 from pasep.formulas import q_stirling2
 from pasep.perms import zn_perm_wexcr
-from pasep.polyring import B, ONE, Y, ZERO, canonical_string, monomial, substitute
+from pasep.polyring import A, B, MPoly, ONE, Y, ZERO, canonical_string, monomial, substitute
+from pasep.qtools import rogers_szego
 from pasep.tableaux import (
     PermutationTableau,
     _shapes,
     enumerate_tableaux,
     tableau_stats,
-    top_degree_check,
     zn_tableaux,
 )
 
@@ -145,15 +145,23 @@ def test_zn_matches_permutation_route():
         assert zn_tableaux(N) == zn_perm_wexcr(N)
 
 
+def _top_degree_slice(n):
+    # the tableaux of size n+1 with a + b = n + 1 (an all-1 first row and no
+    # restricted row, hence no 0 at all): the terms with ea + eb + 1 == n + 1
+    z = zn_tableaux(n)
+    return MPoly({e: c for e, c in z.items() if e[2] + e[3] + 1 == n + 1})
+
+
 def test_top_degree_frozen():
-    assert top_degree_check(1) == monomial(1, ea=1) + Y * B
+    assert _top_degree_slice(1) == monomial(1, ea=1) + Y * B
     expected2 = monomial(1, ea=2) + (ONE + monomial(1, eq=1)) * Y * monomial(1, ea=1, eb=1) + Y**2 * B**2
-    assert top_degree_check(2) == expected2
+    assert _top_degree_slice(2) == expected2
 
 
 def test_top_degree_through_6():
+    # the slice is the q-binomial sum sum_k [n,k]_q a^k (y b)^(n-k)
     for n in range(7):
-        top_degree_check(n)  # raises on mismatch
+        assert _top_degree_slice(n) == rogers_szego(n, A, Y * B), n
 
 
 def test_json_round_trip():

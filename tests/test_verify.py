@@ -1,5 +1,7 @@
 import hashlib
 
+import pytest
+
 import pasep.verify as verify
 from pasep.polyring import ONE, Y, canonical_string
 
@@ -31,3 +33,17 @@ CHECK_NAMES_MAX_N5 = (413, "2afec4c72bbe350fd226f3ee805277ff764db43494f07e2073d2
 def test_check_names_are_pinned():
     names = [name for rep in verify.run_suite("all", max_n=5) for name in rep.checks]
     assert (len(names), hashlib.sha256("\n".join(names).encode()).hexdigest()) == CHECK_NAMES_MAX_N5
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [lambda sigma: sigma, verify.perms.inverse, lambda sigma: tuple(-x for x in sigma)],
+    ids=["identity", "inverse", "leaves-S_n"],
+)
+def test_broken_tilde_fails_only_the_tilde_check(monkeypatch, broken):
+    # involutions that break the statistics (fixing every sigma, or pairing
+    # sigma with another permutation), and one whose images are not
+    # permutations at all: each must fail the tilde check, not raise
+    monkeypatch.setattr(verify.perms, "tilde", broken)
+    failed = [name for name, _ in verify.bijection_suite(max_n=3).failures]
+    assert failed and all(name.startswith("tilde involution preserves") for name in failed)
