@@ -51,7 +51,7 @@ from .tableaux import (
 from .paths import (
     LengthMismatch,
     MalformedPath,
-    MomentRecurrence,
+    StepWeights,
     dyck_pair_sum_q0,
     enumerate_laguerre,
     fine_poly_paths,

@@ -8,12 +8,11 @@ scaled tridiagonal matrices below realize explicitly:
     (1-q) E:  M[i, i] = 1 + at q^i,  M[i, i-1] = 1 - q^i
 
 with at = (1-q)a - 1, bt = (1-q)b - 1, and <W| = |V> = first coordinate.
-Each operator is stored as its three diagonals, functions of the row
-index, so no dimension is ever fixed.  A product <W| t_1 ... t_N |V> is
-read right to left from |V>: the vector index is the height of a Motzkin
-path, the subdiagonal entry M[h+1, h] weighs an up step, the diagonal a
-level step and the superdiagonal entry M[h-1, h] a down step, and
-paths.motzkin_sum adds up the paths that return to index 0.
+A product <W| t_1 ... t_N |V> is read right to left from |V>, so each
+operator is a paths.StepWeights in the vector index h, the height of a
+Motzkin path: (M[h+1, h], M[h, h], M[h-1, h]) weigh an up, a level and a
+down step.  No dimension is ever fixed, and paths.motzkin_sum adds up the
+paths that return to index 0.
 
 Independently of any representation, the normal ordering of (yD + E)^N in
 the free algebra gives coefficients c[N][i, j] with
@@ -29,9 +28,9 @@ ballot-difference kernel M.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .paths import StepWeights, Weight, motzkin_sum
+from .paths import StepWeights, motzkin_sum
 from .polyring import (
     ALPHA_TILDE,
     BETA_TILDE,
@@ -46,46 +45,27 @@ from .polyring import (
 from .qtools import binomial, q_binomial, touchard_M
 
 
-class Tridiagonal(NamedTuple):
-    """A tridiagonal operator by its diagonals, each a function of the row
-    index i: sub(i) = M[i, i-1], diag(i) = M[i, i], sup(i) = M[i, i+1]."""
-
-    sub: Weight | None
-    diag: Weight
-    sup: Weight | None
-
-    def steps(self) -> StepWeights:
-        """Kernel weights of v -> M v: index h moves to h+1, h or h-1."""
-        sub, sup = self.sub, self.sup
-        return (
-            None if sub is None else (lambda h: sub(h + 1)),
-            self.diag,
-            None if sup is None else (lambda h: sup(h - 1)),
-        )
-
-
-SCALED_D = Tridiagonal(
-    sub=None,
-    diag=lambda i: ONE + BETA_TILDE * monomial(1, eq=i),
-    sup=lambda i: ONE - ALPHA_TILDE * BETA_TILDE * monomial(1, eq=i),
+SCALED_D = StepWeights(
+    up=None,
+    level=lambda h: ONE + BETA_TILDE * monomial(1, eq=h),
+    down=lambda h: ONE - ALPHA_TILDE * BETA_TILDE * monomial(1, eq=h - 1),
 )
-SCALED_E = Tridiagonal(
-    sub=lambda i: ONE - monomial(1, eq=i),
-    diag=lambda i: ONE + ALPHA_TILDE * monomial(1, eq=i),
-    sup=None,
+SCALED_E = StepWeights(
+    up=lambda h: ONE - monomial(1, eq=h + 1),
+    level=lambda h: ONE + ALPHA_TILDE * monomial(1, eq=h),
+    down=None,
 )
 
 
 @lru_cache(maxsize=None)
 def zn_matrix(N: int) -> MPoly:
     """Partition function as <W| (yD + E)^N |V> on the explicit matrices."""
-    m = Tridiagonal(
-        sub=SCALED_E.sub,
-        diag=lambda i: Y * SCALED_D.diag(i) + SCALED_E.diag(i),
-        sup=lambda i: Y * SCALED_D.sup(i),
+    m = StepWeights(
+        up=SCALED_E.up,
+        level=lambda h: Y * SCALED_D.level(h) + SCALED_E.level(h),
+        down=lambda h: Y * SCALED_D.down(h),
     )
-    steps = m.steps()
-    return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps), N)
+    return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: m), N)
 
 
 def state_weight(word: str) -> MPoly:
@@ -99,8 +79,8 @@ def state_weight(word: str) -> MPoly:
     if any(ch not in "DE" for ch in word):
         raise ValueError("word must be over the alphabet {D, E}")
     N = len(word)
-    steps = {"D": SCALED_D.steps(), "E": SCALED_E.steps()}
-    return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps[word[N - 1 - k]]), N)
+    ops = {"D": SCALED_D, "E": SCALED_E}
+    return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: ops[word[N - 1 - k]]), N)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ def non_negative_int(text: str) -> int:
 
 
 def _parse_point(text: str) -> dict[str, Fraction]:
-    point = {"a": Fraction(1), "b": Fraction(1), "y": Fraction(1), "q": Fraction(1)}
+    point = dict.fromkeys("abyq", Fraction(1))
+    given = set()
     for piece in text.split(","):
         name, _, value = piece.partition("=")
         name = name.strip()
@@ -46,19 +47,24 @@ def _parse_point(text: str) -> dict[str, Fraction]:
             number = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             number = None
-        if name not in point or number is None:
-            raise ValueError(f"bad assignment {piece!r} in --eval")
+        if name not in point or name in given or number is None:
+            raise ValueError(f"bad assignment {piece!r} in --eval {text!r}")
+        given.add(name)
         point[name] = number
     return point
 
 
+def _over_cap(args, what: str) -> bool:
+    """True, after printing the error, when args.n exceeds the desk-scale
+    cap and --force is not given."""
+    if args.n <= CAP_DEFAULT or args.force:
+        return False
+    print(f"error: {what} is capped at n <= {CAP_DEFAULT} (use --force)", file=sys.stderr)
+    return True
+
+
 def _cmd_zn(args) -> int:
-    if args.method in SLOW_METHODS and args.n > CAP_DEFAULT and not args.force:
-        print(
-            f"error: method {args.method} is capped at n <= {CAP_DEFAULT}"
-            " (use --force to override)",
-            file=sys.stderr,
-        )
+    if args.method in SLOW_METHODS and _over_cap(args, f"method {args.method}"):
         return EXIT_CAP
     point = None
     if args.eval is not None:
@@ -91,47 +97,39 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _weighted(steps, **extra) -> dict:
+    """JSON record of a family path: its steps, then extra, then its weight."""
+    weight = canonical_string(paths.path_weight(steps))
+    return {**paths.path_json(steps), **extra, "weight": weight}
+
+
+# `enumerate --object` choices: each maps n to the JSON records of its objects.
+OBJECTS = {
+    "permutation": lambda n: (
+        {"perm": perms.perm_string(s), "stats": asdict(perms.stats(s))}
+        for s in perms.enumerate_permutations(n)
+    ),
+    "tableau": lambda n: (
+        {**json.loads(t.to_json()), "stats": asdict(tableaux.tableau_stats(t))}
+        for t in tableaux.enumerate_tableaux(n)
+    ),
+    "laguerre": lambda n: (
+        {**paths.history_json(h), "weight": canonical_string(paths.history_weight(h))}
+        for h in paths.enumerate_laguerre(n)
+    ),
+    "pathset-P": lambda n: map(_weighted, paths.enumerate_PN(n)),
+    "pathset-R": lambda n: (
+        _weighted(p, q_levels=k) for k in range(n + 1) for p in paths.enumerate_R_star(n, k)
+    ),
+    "pathset-B": lambda n: map(_weighted, paths.enumerate_B_star(n)),
+}
+
+
 def _cmd_enumerate(args) -> int:
-    if args.n > CAP_DEFAULT and not args.force:
-        print(
-            f"error: enumeration capped at n <= {CAP_DEFAULT} (use --force)",
-            file=sys.stderr,
-        )
+    if _over_cap(args, f"object {args.object}"):
         return EXIT_CAP
-    out = sys.stdout
-    if args.object == "permutation":
-        for sigma in perms.enumerate_permutations(args.n):
-            record = {"perm": perms.perm_string(sigma), "stats": asdict(perms.stats(sigma))}
-            out.write(json.dumps(record) + "\n")
-    elif args.object == "tableau":
-        for t in tableaux.enumerate_tableaux(args.n):
-            record = json.loads(t.to_json())
-            record["stats"] = asdict(tableaux.tableau_stats(t))
-            out.write(json.dumps(record) + "\n")
-    elif args.object == "laguerre":
-        for steps in paths.enumerate_laguerre(args.n):
-            record = paths.history_json(steps)
-            record["weight"] = canonical_string(paths.history_weight(steps))
-            out.write(json.dumps(record) + "\n")
-    elif args.object == "pathset-P":
-        for steps in paths.enumerate_PN(args.n):
-            record = paths.path_json(steps)
-            record["weight"] = canonical_string(paths.path_weight(steps))
-            out.write(json.dumps(record) + "\n")
-    elif args.object == "pathset-R":
-        for n in range(args.n + 1):
-            for steps in paths.enumerate_R_star(args.n, n):
-                record = paths.path_json(steps)
-                record["q_levels"] = n
-                record["weight"] = canonical_string(paths.path_weight(steps))
-                out.write(json.dumps(record) + "\n")
-    elif args.object == "pathset-B":
-        for steps in paths.enumerate_B_star(args.n):
-            record = paths.path_json(steps)
-            record["weight"] = canonical_string(paths.path_weight(steps))
-            out.write(json.dumps(record) + "\n")
-    else:
-        raise AssertionError(args.object)
+    for record in OBJECTS[args.object](args.n):
+        sys.stdout.write(json.dumps(record) + "\n")
     return 0
 
 
@@ -177,11 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="stream objects as JSONL")
-    p_enum.add_argument(
-        "--object",
-        choices=["permutation", "tableau", "laguerre", "pathset-P", "pathset-R", "pathset-B"],
-        required=True,
-    )
+    p_enum.add_argument("--object", choices=OBJECTS, required=True)
     p_enum.add_argument("--n", type=non_negative_int, required=True)
     p_enum.add_argument("--format", choices=["jsonl"], default="jsonl")
     p_enum.add_argument("--force", action="store_true")

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .paths import MomentRecurrence
+from .paths import StepWeights
 from .polyring import (
     A,
     ALPHA_TILDE,
@@ -151,40 +151,29 @@ def asc_mom_closed(N: int) -> MPoly:
     return acc
 
 
-def asc_recurrence(x: MPoly, z: MPoly, c: int = 0) -> MomentRecurrence:
+def asc_recurrence(x: MPoly, z: MPoly, c: int = 0) -> StepWeights:
     """Al-Salam-Chihara recurrence with parameters x, z and level shift c.
 
     Level weight c + (x+z) q^h, down weight (1-q^h)(1 - xz q^(h-1)).
     """
     x_plus_z, xz = x + z, x * z
-    return MomentRecurrence(
-        b=lambda h: c + x_plus_z * monomial(1, eq=h),
-        lam=lambda h: (ONE - monomial(1, eq=h)) * (ONE - xz * monomial(1, eq=h - 1)),
+    return StepWeights(
+        up=lambda h: ONE,
+        level=lambda h: c + x_plus_z * monomial(1, eq=h),
+        down=lambda h: (ONE - monomial(1, eq=h)) * (ONE - xz * monomial(1, eq=h - 1)),
     )
 
 
-def asc_halved_recurrence() -> MomentRecurrence:
-    """ASC recurrence in x/2: its N-th moment is 2^N mu(N) = asc_mom_closed(N)."""
-    return asc_recurrence(A, B)
-
-
-def shifted_z_recurrence() -> MomentRecurrence:
-    """ASC recurrence whose N-th moment is (1-q)^N Z(N) at y = 1.
-
-    Built from the ASC weights, not the family-P step weights of zn_paths,
-    so the moment check stays independent of that route.
-    """
-    return asc_recurrence(ALPHA_TILDE, BETA_TILDE, 2)
-
-
-def qsecant_recurrence() -> MomentRecurrence:
-    """Down weight [h]_q^2; even moments are the q-secant numbers."""
-    return MomentRecurrence(b=lambda h: ZERO, lam=lambda h: q_int(h) * q_int(h))
-
-
-def qtangent_recurrence() -> MomentRecurrence:
-    """Down weight [h]_q [h+1]_q; even moments are the q-tangent numbers."""
-    return MomentRecurrence(b=lambda h: ZERO, lam=lambda h: q_int(h) * q_int(h + 1))
+# ASC recurrence in x/2: its N-th moment is 2^N mu(N) = asc_mom_closed(N).
+ASC_HALVED = asc_recurrence(A, B)
+# ASC recurrence whose N-th moment is (1-q)^N Z(N) at y = 1.  Built from the
+# ASC weights, not the family-P step weights of zn_paths, so the moment
+# check stays independent of that route.
+SHIFTED_Z = asc_recurrence(ALPHA_TILDE, BETA_TILDE, 2)
+# Down weight [h]_q^2; even moments are the q-secant numbers.
+QSECANT = StepWeights(up=lambda h: ONE, level=None, down=lambda h: q_int(h) * q_int(h))
+# Down weight [h]_q [h+1]_q; even moments are the q-tangent numbers.
+QTANGENT = StepWeights(up=lambda h: ONE, level=None, down=lambda h: q_int(h) * q_int(h + 1))
 
 
 @lru_cache(maxsize=None)

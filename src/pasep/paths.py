@@ -35,24 +35,24 @@ Three layers live here:
   dropping the hill) made at the junction; is_fine and peaks stay the
   definitions.
 
-Every weighted sum (families P, R, B, their cardinalities, J-fraction
-moments, and the transfer matrices of the ansatz module) is one call of
-motzkin_sum, a height-indexed dynamic program over Motzkin paths that
-drops every height above the number of steps left.  Every explicit path
-(Laguerre histories, families P/R*/B*, Dyck and bicolor paths) is
-enumerated by motzkin_walks with the same pruning, which joins each listed
-prefix of the first half of the steps to each listed suffix of the second
-half, and histories, family paths and bicolor paths are checked by
-is_motzkin_walk; both read the steps allowed at each height from one
-options function per kind of path.
+Every transfer operator (families P, R, B and their cardinalities,
+J-fraction recurrences, the matrices of the ansatz module) is one
+StepWeights: its up, level and down weights as functions of the height.
+Every weighted sum is one call of motzkin_sum, a height-indexed dynamic
+program over Motzkin paths that drops every height above the number of
+steps left.  Every explicit path (Laguerre histories, families P/R*/B*,
+Dyck and bicolor paths) is enumerated by motzkin_walks with the same
+pruning, which joins each listed prefix of the first half of the steps to
+each listed suffix of the second half, and histories, family paths and
+bicolor paths are checked by is_motzkin_walk; both read the steps allowed
+at each height from one options function per kind of path.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .polyring import (
     ALPHA_TILDE,
@@ -297,17 +297,31 @@ def enumerate_B_star(n: int) -> Iterator[tuple[Step, ...]]:
 # unstarred one and starred and unstarred sums coincide.
 
 Weight = Callable[[int], MPoly]
-StepWeights = tuple[Weight | None, Weight | None, Weight | None]
+
+
+class StepWeights(NamedTuple):
+    """A transfer operator as the weights of one Motzkin step from height h,
+    each a function of h, or None where there is no such step.
+
+    A tridiagonal matrix M applied to |V>, read right to left, is
+    (M[h+1, h], M[h, h], M[h-1, h]).  The recurrence
+    x P_n = P_(n+1) + b_n P_n + lam_n P_(n-1) is (1, b, lam): its N-th
+    moment is the weighted Motzkin sum that pairs each up step with its
+    down step and puts lam(h) on every down step starting at height h.
+    """
+
+    up: Weight | None
+    level: Weight | None
+    down: Weight | None
 
 
 def motzkin_sum(N: int, step: Callable[[int], StepWeights]) -> MPoly:
     """Total weight of the N-step Motzkin paths from height 0 back to 0.
 
-    step(k) gives the (up, level, down) weights of the k-th step, each a
-    function of the height the step starts from, or None where there is no
-    such step.  A path's weight is the product of its step weights.  Heights
-    above the number of steps left are dropped, since no path returns to 0
-    from there, and zero products are not stored.
+    step(k) is the operator of the k-th step.  A path's weight is the
+    product of its step weights.  Heights above the number of steps left
+    are dropped, since no path returns to 0 from there, and zero products
+    are not stored.
     """
     if N < 0:
         raise ValueError("path length must be >= 0")
@@ -413,7 +427,7 @@ def _family_steps(family: str, weigh: Callable[[tuple, int], MPoly]) -> StepWeig
 
         return weight
 
-    return direction(UP), direction(LEVEL), direction(DOWN)
+    return StepWeights(direction(UP), direction(LEVEL), direction(DOWN))
 
 
 @lru_cache(maxsize=None)
@@ -453,23 +467,10 @@ def count_family(length: int, family: str, q_levels: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentRecurrence:
-    """Three-term recurrence data: level weights b(h), down weights lam(h).
-
-    The N-th moment of the orthogonal sequence with recurrence
-    x P_n = P_(n+1) + b_n P_n + lam_n P_(n-1) is the weighted Motzkin sum
-    with level weight b(h) and, pairing each up step with its down step,
-    a factor lam(h) on every down step starting at height h.
-    """
-
-    b: Callable[[int], MPoly]
-    lam: Callable[[int], MPoly]
-
-
-def jfraction_moment(rec: MomentRecurrence, N: int) -> MPoly:
-    steps = (lambda h: ONE, rec.b, rec.lam)
-    return motzkin_sum(N, lambda k: steps)
+def jfraction_moment(rec: StepWeights, N: int) -> MPoly:
+    """N-th moment of the J-fraction of rec: the N-step Motzkin sum with
+    rec at every step."""
+    return motzkin_sum(N, lambda k: rec)
 
 
 # ---------------------------------------------------------------------------

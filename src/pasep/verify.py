@@ -285,7 +285,7 @@ def moment_suite(max_n: int | None = None) -> VerifyReport:
         rep.check_eq(
             f"ballot moment formula vs J-fraction, N={N}",
             formulas.asc_mom_closed(N),
-            paths.jfraction_moment(formulas.asc_halved_recurrence(), N),
+            paths.jfraction_moment(formulas.ASC_HALVED, N),
         )
         rep.check_eq(
             f"binomial transform of Z vs ballot formula, N={N}",
@@ -295,7 +295,7 @@ def moment_suite(max_n: int | None = None) -> VerifyReport:
     for N in range(_cap(6, max_n) + 1):
         rep.check_eq(
             f"q-Laguerre moment recurrence recovers (1-q)^N Z at y=1, N={N}",
-            paths.jfraction_moment(formulas.shifted_z_recurrence(), N),
+            paths.jfraction_moment(formulas.SHIFTED_Z, N),
             (ONE - Q) ** N * substitute(formulas.zn_closed(N), "y", ONE),
         )
     rng = random.Random(MOMENT_SEED)
@@ -327,9 +327,9 @@ def tangent_secant_suite(max_n: int | None = None) -> VerifyReport:
         closed = formulas.q_tangent_secant(n)
         rep.check_eq(f"E_{n} closed vs alternating sum", closed, perms.alternating_E(n))
         if n % 2 == 0:
-            cf = paths.jfraction_moment(formulas.qsecant_recurrence(), n)
+            cf = paths.jfraction_moment(formulas.QSECANT, n)
         else:
-            cf = paths.jfraction_moment(formulas.qtangent_recurrence(), n - 1)
+            cf = paths.jfraction_moment(formulas.QTANGENT, n - 1)
         rep.check_eq(f"E_{n} closed vs continued fraction", closed, cf)
     # tangent/secant numbers 1,1,1,2,5,16,61,272,1385; the sequence is
     # anchored at E_0 = 1 since |A_3| = 2 pins E_3(1) = 2

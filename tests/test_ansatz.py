@@ -28,29 +28,30 @@ from pasep.polyring import (
 
 
 def dense(m, k):
-    """The leading k x k block of a tridiagonal operator, as nested lists."""
+    """The leading k x k block of an operator given as StepWeights, as nested
+    lists: M[h+1, h] = up(h), M[h, h] = level(h), M[h-1, h] = down(h)."""
     rows = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        rows[i][i] = m.diag(i)
-        if m.sub is not None and i >= 1:
-            rows[i][i - 1] = m.sub(i)
-        if m.sup is not None and i + 1 < k:
-            rows[i][i + 1] = m.sup(i)
+    for h in range(k):
+        rows[h][h] = m.level(h)
+        if m.up is not None and h + 1 < k:
+            rows[h + 1][h] = m.up(h)
+        if m.down is not None and h >= 1:
+            rows[h - 1][h] = m.down(h)
     return rows
 
 
 def test_dim_one_entries():
-    assert SCALED_D.diag(0) == (ONE - Q) * B
-    assert SCALED_E.diag(0) == (ONE - Q) * A
+    assert SCALED_D.level(0) == (ONE - Q) * B
+    assert SCALED_E.level(0) == (ONE - Q) * A
 
 
 def test_tridiagonal():
-    # (1-q)D is upper and (1-q)E lower bidiagonal, with no zero entry on
-    # the diagonals they do have
-    assert SCALED_D.sub is None and SCALED_E.sup is None
-    for i in range(5):
-        assert SCALED_D.diag(i) and SCALED_D.sup(i)
-        assert SCALED_E.diag(i) and SCALED_E.sub(i + 1)
+    # (1-q)D is upper and (1-q)E lower bidiagonal: D never raises the index
+    # and E never lowers it, with no zero entry on the diagonals they do have
+    assert SCALED_D.up is None and SCALED_E.down is None
+    for h in range(5):
+        assert SCALED_D.level(h) and SCALED_D.down(h + 1)
+        assert SCALED_E.level(h) and SCALED_E.up(h)
 
 
 def test_commutation_on_inner_block():

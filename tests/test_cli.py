@@ -36,9 +36,19 @@ def test_zn_eval(capsys):
     assert capsys.readouterr().out.strip() == "5/6"
 
 
-def test_zn_cap_violation(capsys):
-    assert run(["zn", "--n", "10", "--method", "tableaux"]) == 3
-    assert "capped" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zn", "--n", "10", "--method", "tableaux"],
+        ["enumerate", "--object", "laguerre", "--n", "10"],
+    ],
+    ids=["zn", "enumerate"],
+)
+def test_zn_cap_violation(capsys, argv):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "capped" in captured.err
 
 
 def test_usage_error():
@@ -53,7 +63,7 @@ def test_usage_error():
         assert exc.value.code == 2, argv
 
 
-@pytest.mark.parametrize("point", ["a=x", "a=1/0", "c=1"])
+@pytest.mark.parametrize("point", ["a=x", "a=1/0", "c=1", "a=1,a=2"])
 def test_zn_bad_eval_is_a_usage_error(capsys, point):
     assert run(["zn", "--n", "2", "--eval", point]) == 2
     captured = capsys.readouterr()

@@ -7,11 +7,13 @@ import pytest
 
 from pasep.ansatz import hatted_closed_form
 from pasep.formulas import (
+    ASC_HALVED,
     B_formula,
+    QSECANT,
+    QTANGENT,
     R_formula,
     R_y1,
     SingularPoint,
-    asc_halved_recurrence,
     asc_mom_closed,
     catalan_number,
     eulerian_number,
@@ -24,8 +26,6 @@ from pasep.formulas import (
     q_tangent_secant,
     qbinom_lemma_lower,
     qbinom_lemma_upper,
-    qsecant_recurrence,
-    qtangent_recurrence,
     stanton_moment_eval,
     zn_cas1,
     zn_closed,
@@ -112,7 +112,7 @@ def test_asc_moments_small():
     assert asc_mom_closed(0) == ONE
     assert asc_mom_closed(1) == A + B
     for N in range(7):
-        assert asc_mom_closed(N) == jfraction_moment(asc_halved_recurrence(), N)
+        assert asc_mom_closed(N) == jfraction_moment(ASC_HALVED, N)
         assert mu_from_Z(N) == asc_mom_closed(N)
 
 
@@ -182,9 +182,9 @@ def test_q_tangent_secant():
         e = q_tangent_secant(n)
         assert e == alternating_E(n)
         if n % 2 == 0:
-            assert e == jfraction_moment(qsecant_recurrence(), n)
+            assert e == jfraction_moment(QSECANT, n)
         else:
-            assert e == jfraction_moment(qtangent_recurrence(), n - 1)
+            assert e == jfraction_moment(QTANGENT, n - 1)
     values = [1, 1, 1, 2, 5, 16, 61, 272]
     for n, v in enumerate(values):
         assert substitute(q_tangent_secant(n), "q", ONE).constant_value() == v

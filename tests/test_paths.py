@@ -6,10 +6,10 @@ import pytest
 from pasep.ansatz import hatted_coeffs, normal_order, zn_hatted, zn_matrix, zn_normal
 from pasep.bijections import _bicolor_options
 from pasep.formulas import (
+    ASC_HALVED,
     B_formula,
     R_formula,
-    asc_halved_recurrence,
-    shifted_z_recurrence,
+    SHIFTED_Z,
     zn_closed,
 )
 from pasep.paths import (
@@ -17,7 +17,7 @@ from pasep.paths import (
     LEVEL,
     UP,
     MalformedPath,
-    MomentRecurrence,
+    StepWeights,
     _family_walk,
     _history_key,
     _laguerre_options,
@@ -226,7 +226,7 @@ def test_count_family_matches_enumeration():
         sum_B,
         zn_paths,
         zn_matrix,
-        lambda N: jfraction_moment(shifted_z_recurrence(), N),
+        lambda N: jfraction_moment(SHIFTED_Z, N),
         zn_closed,
         normal_order,
         zn_normal,
@@ -269,20 +269,20 @@ def test_negative_length_is_rejected(build):
 
 
 def test_jfraction_trivial_and_gaussian():
-    rec = MomentRecurrence(b=lambda h: ZERO, lam=lambda h: h * ONE)
+    rec = StepWeights(lambda h: ONE, None, lambda h: h * ONE)
     assert jfraction_moment(rec, 0) == ONE
     got = [jfraction_moment(rec, N) for N in range(7)]
     assert got == [ONE, ZERO, ONE, ZERO, 3 * ONE, ZERO, 15 * ONE]
 
 
 def test_jfraction_asc_first_moment():
-    assert jfraction_moment(asc_halved_recurrence(), 1) == A + B
+    assert jfraction_moment(ASC_HALVED, 1) == A + B
 
 
 def test_jfraction_recovers_partition_function():
     for N in range(6):
         want = (ONE - Q) ** N * substitute(zn_closed(N), "y", ONE)
-        assert jfraction_moment(shifted_z_recurrence(), N) == want
+        assert jfraction_moment(SHIFTED_Z, N) == want
 
 
 def test_returns_and_peaks():
