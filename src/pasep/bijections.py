@@ -27,6 +27,10 @@ Two classical insertion bijections are implemented with explicit inverses:
   (up), "k" (down), "k slot" (level, delta=1) or "slot k" (level, delta=0);
   the final leftover slot sits at the right end and is dropped.
 
+The step-type lemmas, which place the type 1 and type 2 steps of both
+histories at extrema of sigma, are checked as position sets in
+verify.bijection_suite.
+
 The third bijection combines a length-N path of family R* with n q-power
 level steps and a length-n path of family B* into a path of family P
 (combine_paths), by letting the j-th step of the B* path ride on the j-th
@@ -41,12 +45,11 @@ unique factorization D = D1 up D2 down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .paths import (
-    DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH, _q_levels, history_type_flags,
-    is_motzkin_walk, motzkin_walks,
+    DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH, _q_levels, is_motzkin_walk,
+    motzkin_walks,
 )
 from .perms import Perm, inverse
 
@@ -106,40 +109,6 @@ def foata_zeilberger_inverse(history: tuple[LaguerreStep, ...]) -> Perm:
     return tuple(sigma)
 
 
-@dataclass(frozen=True)
-class FZStepInfo:
-    lr_max: bool
-    rl_min: bool
-    fixed_point: bool
-    type1: bool
-    type2: bool
-
-
-def fz_step_types(sigma: Perm, history: tuple[LaguerreStep, ...]) -> list[FZStepInfo]:
-    """Per-index report backing the left-to-right-maximum and
-    right-to-left-minimum characterizations of type 1 / type 2 steps;
-    history is foata_zeilberger(sigma)."""
-    n = len(sigma)
-    out = []
-    running_max = 0
-    suffix_min = [0] * (n + 2)
-    suffix_min[n + 1] = n + 1
-    for i in range(n, 0, -1):
-        suffix_min[i] = min(sigma[i - 1], suffix_min[i + 1])
-    for i, (t1, t2) in enumerate(history_type_flags(history), start=1):
-        running_max = max(running_max, sigma[i - 1])
-        out.append(
-            FZStepInfo(
-                lr_max=sigma[i - 1] == running_max,
-                rl_min=sigma[i - 1] == suffix_min[i],
-                fixed_point=sigma[i - 1] == i,
-                type1=t1,
-                type2=t2,
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Francon-Viennot
 # ---------------------------------------------------------------------------
@@ -194,45 +163,6 @@ def francon_viennot_inverse(history: tuple[LaguerreStep, ...]) -> Perm:
     return tuple(word[:-1])
 
 
-@dataclass(frozen=True)
-class FVStepInfo:
-    rl_min: bool  # the position of value i is a right-to-left minimum
-    rl_max: bool
-    type1: bool
-    type2: bool
-    type1_all_left: bool  # every type 1 step lies strictly left of step i
-
-
-def fv_step_types(sigma: Perm, history: tuple[LaguerreStep, ...]) -> list[FVStepInfo]:
-    """Per-value report backing the right-to-left characterizations of the
-    Francon-Viennot step types; history is francon_viennot(sigma)."""
-    n = len(sigma)
-    inv = inverse(sigma)
-    flags = history_type_flags(history)
-    suffix_min = [0] * (n + 2)
-    suffix_max = [0] * (n + 2)
-    suffix_min[n + 1] = n + 1
-    suffix_max[n + 1] = 0
-    for p in range(n, 0, -1):
-        suffix_min[p] = min(sigma[p - 1], suffix_min[p + 1])
-        suffix_max[p] = max(sigma[p - 1], suffix_max[p + 1])
-    last_type1 = max((k for k, (t1, _) in enumerate(flags) if t1), default=-1)
-    out = []
-    for i in range(1, n + 1):
-        p = inv[i - 1]
-        t1, t2 = flags[i - 1]
-        out.append(
-            FVStepInfo(
-                rl_min=sigma[p - 1] == suffix_min[p],
-                rl_max=sigma[p - 1] == suffix_max[p],
-                type1=t1,
-                type2=t2,
-                type1_all_left=last_type1 < i - 1,
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Combining R* and B* paths into P paths
 # ---------------------------------------------------------------------------
@@ -270,13 +200,13 @@ def combine_paths(h1: tuple[Step, ...], h2: tuple[Step, ...]) -> tuple[Step, ...
     return tuple(out)
 
 
-def decompose_scan(p_steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], tuple[Step, ...], int, int]:
-    """Right-to-left rule-table scan, valid on Motzkin suffixes too.
+def decompose_path(p_steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
+    """Inverse of combine_paths on closed family-P paths.
 
-    Returns (h1, h2, h1_start, h2_start).  Reading a step prepends to both
-    partial suffixes per the rule table; the height bookkeeping
-    h = h' + h'' between the three suffix starting heights is asserted at
-    every intermediate stage.
+    Reads the path right to left.  Reading a step prepends to both partial
+    suffixes per the rule table; the height bookkeeping h = h' + h'' between
+    the three suffix starting heights is asserted at every intermediate
+    stage.
     """
     h1_rev: list[Step] = []
     h2_rev: list[Step] = []
@@ -309,15 +239,9 @@ def decompose_scan(p_steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], tuple[S
             raise ValueError(f"step {(d, tag)!r} is not admissible in family P")
         ph -= _DH[d]
         assert ph == h1h + h2h, "height bookkeeping h = h' + h'' violated"
-    return tuple(reversed(h1_rev)), tuple(reversed(h2_rev)), h1h, h2h
-
-
-def decompose_path(p_steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
-    """Inverse of combine_paths on closed family-P paths."""
-    h1, h2, h1h, h2h = decompose_scan(p_steps)
     if h1h != 0 or h2h != 0:
         raise ValueError("decomposition of a closed path left open suffixes")
-    return h1, h2
+    return tuple(reversed(h1_rev)), tuple(reversed(h2_rev))
 
 
 # ---------------------------------------------------------------------------

@@ -133,19 +133,22 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# `special --what` choices: each maps n to the lines of its table.
+SPECIALS = {
+    "q-eulerian": lambda n: (
+        f"k={k}\t{canonical_string(formulas.q_eulerian(n, k))}" for k in range(n + 1)
+    ),
+    "q-stirling": lambda n: (
+        f"k={k}\t{canonical_string(formulas.q_stirling2(n, k))}" for k in range(1, n + 1)
+    ),
+    "fine": lambda n: [canonical_string(formulas.fine_from_Z(n))],
+    "tangent-secant": lambda n: [canonical_string(formulas.q_tangent_secant(n))],
+}
+
+
 def _cmd_special(args) -> int:
-    if args.what == "q-eulerian":
-        for k in range(args.n + 1):
-            print(f"k={k}\t{canonical_string(formulas.q_eulerian(args.n, k))}")
-    elif args.what == "q-stirling":
-        for k in range(1, args.n + 1):
-            print(f"k={k}\t{canonical_string(formulas.q_stirling2(args.n, k))}")
-    elif args.what == "fine":
-        print(canonical_string(formulas.fine_from_Z(args.n)))
-    elif args.what == "tangent-secant":
-        print(canonical_string(formulas.q_tangent_secant(args.n)))
-    else:
-        raise AssertionError(args.what)
+    for line in SPECIALS[args.what](args.n):
+        print(line)
     return 0
 
 
@@ -177,14 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="stream objects as JSONL")
     p_enum.add_argument("--object", choices=OBJECTS, required=True)
     p_enum.add_argument("--n", type=non_negative_int, required=True)
-    p_enum.add_argument("--format", choices=["jsonl"], default="jsonl")
     p_enum.add_argument("--force", action="store_true")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_special = sub.add_parser("special", help="specialization tables")
-    p_special.add_argument(
-        "--what", choices=["q-eulerian", "q-stirling", "fine", "tangent-secant"], required=True
-    )
+    p_special.add_argument("--what", choices=SPECIALS, required=True)
     p_special.add_argument("--n", type=non_negative_int, required=True)
     p_special.set_defaults(func=_cmd_special)
 

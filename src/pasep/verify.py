@@ -94,19 +94,12 @@ def golden_values(max_n: int | None = None) -> VerifyReport:
 def cross_methods(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("cross-methods")
     slow_max = _cap(7, max_n)
-    fast_max = _cap(10, max_n)
-    for N in range(slow_max + 1):
+    for N in range(_cap(10, max_n) + 1):
         ref = formulas.zn_closed(N)
-        for name, fn in METHODS.items():
-            if name == "closed":
-                continue
-            rep.check_eq(f"Z{N} {name} == closed", fn(N), ref)
-    for N in range(slow_max + 1, fast_max + 1):
-        ref = formulas.zn_closed(N)
-        for name in FAST_METHODS:
-            if name == "closed":
-                continue
-            rep.check_eq(f"Z{N} {name} == closed", METHODS[name](N), ref)
+        names = METHODS if N <= slow_max else FAST_METHODS
+        for name in names:
+            if name != "closed":
+                rep.check_eq(f"Z{N} {name} == closed", METHODS[name](N), ref)
     return rep
 
 
@@ -134,6 +127,36 @@ def specialization_suite(max_n: int | None = None) -> VerifyReport:
                 formulas.R_y1(N, n),
             )
     return rep
+
+
+def _extrema(sigma: perms.Perm) -> tuple[set[int], set[int], set[int]]:
+    """Positions, from 1, of the left-to-right maxima, the right-to-left
+    minima and the right-to-left maxima of sigma."""
+    lr_max, rl_min, rl_max = set(), set(), set()
+    top = 0
+    for p, v in enumerate(sigma, start=1):
+        if v > top:
+            top = v
+            lr_max.add(p)
+    low, high = len(sigma) + 1, 0
+    for p in range(len(sigma), 0, -1):
+        v = sigma[p - 1]
+        if v < low:
+            low = v
+            rl_min.add(p)
+        if v > high:
+            high = v
+            rl_max.add(p)
+    return lr_max, rl_min, rl_max
+
+
+def _type_steps(history: tuple[paths.LaguerreStep, ...]) -> tuple[set[int], set[int]]:
+    """Indices, from 1, of the type 1 and the type 2 steps of a history."""
+    flags = paths.history_type_flags(history)
+    return (
+        {k for k, (t1, _) in enumerate(flags, start=1) if t1},
+        {k for k, (_, t2) in enumerate(flags, start=1) if t2},
+    )
 
 
 def bijection_suite(max_n: int | None = None) -> VerifyReport:
@@ -166,11 +189,13 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
                 fz_wt = False
             if paths.history_weight(hv) != monomial(1, ey=st.asc, eq=st.p31_2):
                 fv_wt = False
-            for info in bijections.fz_step_types(sigma, hz):
-                if info.lr_max != info.type1:
-                    lem1 = False
-                if not info.fixed_point and info.rl_min != info.type2:
-                    lem2 = False
+            lr_max, rl_min, rl_max = _extrema(sigma)
+            fixed = {p for p in range(1, n + 1) if sigma[p - 1] == p}
+            t1, t2 = _type_steps(hz)
+            if t1 != lr_max:
+                lem1 = False
+            if t2 - fixed != rl_min - fixed:
+                lem2 = False
             tl = perms.tilde(sigma)
             keys = (st.u, st.wex, st.v, st.cr), (st.u_prime, st.wex, st.v, st.cr)
             partner = keys if tl == sigma else pending.pop(tl, None)
@@ -178,14 +203,14 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
                 pending[sigma] = keys
             if perms.tilde(tl) != sigma or partner not in (None, keys[::-1]):
                 lem3 = False
-            infos = bijections.fv_step_types(sigma, hv)
+            t1, t2 = _type_steps(hv)
             inv = perms.inverse(sigma)
-            for i, info in enumerate(infos, start=1):
-                if info.rl_min != info.type1:
-                    lem4 = False
-                if inv[i - 1] < n:
-                    if info.rl_max != (info.type2 and info.type1_all_left):
-                        lem5 = False
+            if t1 != {sigma[p - 1] for p in rl_min}:
+                lem4 = False
+            last1 = max(t1, default=0)
+            late2 = {k for k in t2 if k > last1 and inv[k - 1] < n}
+            if late2 != {sigma[p - 1] for p in rl_max if p < n}:
+                lem5 = False
         rep.check(f"FZ round trip and validity, n={n}", fz_ok)
         rep.check(f"FV round trip and validity, n={n}", fv_ok)
         rep.check(f"FZ weight law y^wex q^cr, n={n}", fz_wt)

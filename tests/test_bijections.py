@@ -6,14 +6,11 @@ from pasep.bijections import (
     bicolor_to_dyck_pair,
     combine_paths,
     decompose_path,
-    decompose_scan,
     enumerate_bicolor,
     foata_zeilberger,
     foata_zeilberger_inverse,
     francon_viennot,
     francon_viennot_inverse,
-    fv_step_types,
-    fz_step_types,
     is_valid_bicolor,
 )
 from pasep.paths import (
@@ -23,13 +20,14 @@ from pasep.paths import (
     enumerate_B_star,
     enumerate_PN,
     enumerate_R_star,
+    history_type_flags,
     history_weight,
     is_valid_family_path,
     is_valid_history,
     path_weight,
     returns,
 )
-from pasep.perms import enumerate_permutations, inverse, stats
+from pasep.perms import enumerate_permutations, stats
 from pasep.polyring import monomial
 
 FIG1_PERM = (6, 7, 2, 5, 8, 1, 4, 9, 3)
@@ -73,15 +71,6 @@ def test_fz_weight_law():
             assert history_weight(foata_zeilberger(sigma)) == monomial(1, ey=st.wex, eq=st.cr)
 
 
-def test_fz_step_type_lemmas():
-    for n in range(7):
-        for sigma in enumerate_permutations(n):
-            for info in fz_step_types(sigma, foata_zeilberger(sigma)):
-                assert info.lr_max == info.type1
-                if not info.fixed_point:
-                    assert info.rl_min == info.type2
-
-
 def test_fv_reproduces_pattern_figure():
     assert francon_viennot(FIG3_PERM) == FIG3_HISTORY
     assert francon_viennot_inverse(FIG3_HISTORY) == FIG3_PERM
@@ -92,9 +81,10 @@ def test_fv_large_figure():
     st = stats(FIG4_PERM)
     assert history_weight(h) == monomial(1, ey=5, eq=7)
     assert (st.s, st.t, st.asc, st.p31_2) == (3, 4, 5, 7)
-    flags = fv_step_types(FIG4_PERM, h)
-    assert sum(1 for f in flags if f.type1) == 4
-    assert sum(1 for f in flags if f.type2 and f.type1_all_left) == 2
+    flags = history_type_flags(h)
+    last1 = max(k for k, (t1, _) in enumerate(flags) if t1)
+    assert sum(t1 for t1, _ in flags) == 4
+    assert sum(t2 for _, t2 in flags[last1 + 1 :]) == 2
     assert francon_viennot_inverse(h) == FIG4_PERM
 
 
@@ -112,17 +102,12 @@ def test_fv_round_trip_exhaustive():
             assert francon_viennot_inverse(h) == sigma
 
 
-def test_fv_weight_law_and_lemmas():
+def test_fv_weight_law():
     for n in range(7):
         for sigma in enumerate_permutations(n):
             st = stats(sigma)
             h = francon_viennot(sigma)
             assert history_weight(h) == monomial(1, ey=st.asc, eq=st.p31_2)
-            inv = inverse(sigma)
-            for i, info in enumerate(fv_step_types(sigma, h), start=1):
-                assert info.rl_min == info.type1
-                if inv[i - 1] < n:
-                    assert info.rl_max == (info.type2 and info.type1_all_left)
 
 
 FIG5_H1 = (
@@ -150,20 +135,6 @@ def test_combine_empty_and_single_level():
     assert combine_paths((), ()) == ()
     p = ((LEVEL, ("oney",)),)
     assert decompose_path(p) == (p, ())
-
-
-def test_decompose_scan_on_suffix():
-    suffix = (
-        (UP, ("frac", 1)), (DOWN, ("negab",)), (LEVEL, ("ab",)),
-        (DOWN, ("y",)), (DOWN, ("negab",)),
-    )
-    h1, h2, h1h, h2h = decompose_scan(suffix)
-    assert h1 == (
-        (LEVEL, ("qpow",)), (LEVEL, ("qpow",)), (LEVEL, ("qpow",)),
-        (DOWN, ("y",)), (LEVEL, ("qpow",)),
-    )
-    assert h2 == ((UP, ("frac", 0)), (DOWN, ("negab",)), (LEVEL, ("ab",)), (DOWN, ("negab",)))
-    assert (h1h, h2h) == (1, 1)
 
 
 def test_combine_decompose_round_trip():

@@ -56,6 +56,7 @@ def test_usage_error():
         ["zn", "--n", "x"],
         ["zn", "--n", "-1"],
         ["enumerate", "--object", "laguerre", "--n", "-1"],
+        ["enumerate", "--object", "laguerre", "--n", "2", "--format", "jsonl"],
         ["special", "--what", "q-eulerian", "--n", "-2"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -111,6 +112,22 @@ def test_enumerate_tableau_count(capsys):
     assert run(["enumerate", "--object", "tableau", "--n", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 24
+
+
+# SHA-256 of `pasep special --what X --n 7`: pins every line of each table.
+SPECIAL_N7_SHA256 = {
+    "q-eulerian": "868e0f46c14aae84273d33d84ea4b7a706159a3b5ec4c1cc8c051928aed3f4d1",
+    "q-stirling": "8f8ec615d7e41416a19b9131e65e2a6edaabe05832a38c1d8b1e8d6cf8be54ad",
+    "fine": "53634dcd73163dbcad88f2911fa688e70f3890a3ac13415e36edc32866d5372e",
+    "tangent-secant": "0015bc03ce6c28601a6e6757078df9f8d19e33cf71053d86535125b28f710344",
+}
+
+
+@pytest.mark.parametrize("what", sorted(SPECIAL_N7_SHA256))
+def test_special_output_is_pinned(capsys, what):
+    assert run(["special", "--what", what, "--n", "7"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SPECIAL_N7_SHA256[what]
 
 
 def test_special_fine(capsys):
