@@ -27,6 +27,9 @@ Two classical insertion bijections are implemented with explicit inverses:
   (up), "k" (down), "k slot" (level, delta=1) or "slot k" (level, delta=0);
   the final leftover slot sits at the right end and is dropped.
 
+Both inverses raise ValueError for a sequence that is_valid_history
+rejects.
+
 The step-type lemmas, which place the type 1 and type 2 steps of both
 histories at extrema of sigma, are checked as position sets in
 verify.bijection_suite.
@@ -36,7 +39,8 @@ level steps and a length-n path of family B* into a path of family P
 (combine_paths), by letting the j-th step of the B* path ride on the j-th
 q-power level step of the R* path.  The inverse (decompose_path) reads the
 P path right to left and redistributes each step by a six-case rule table,
-tracking the suffix starting heights h' and h'' with h = h' + h''.
+tracking the suffix starting heights h' and h'' with h = h' + h''.  It
+raises ValueError for anything that is not a family-P path.
 
 The q = 0 reduction maps bicolor Motzkin paths (two level kinds, no second
 kind at height 0) to pairs of Dyck paths through step doubling and the
@@ -49,7 +53,7 @@ from typing import Iterator
 
 from .paths import (
     DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH, _q_levels, is_motzkin_walk,
-    motzkin_walks,
+    is_valid_family_path, is_valid_history, motzkin_walks,
 )
 from .perms import Perm, inverse
 
@@ -81,7 +85,13 @@ def foata_zeilberger(sigma: Perm) -> tuple[LaguerreStep, ...]:
     return tuple(steps)
 
 
+def _check_history(history: tuple[LaguerreStep, ...]) -> None:
+    if not is_valid_history(history):
+        raise ValueError(f"not a Laguerre history: {history!r}")
+
+
 def foata_zeilberger_inverse(history: tuple[LaguerreStep, ...]) -> Perm:
+    _check_history(history)
     n = len(history)
     sigma = [0] * n
     open_upper: list[int] = []  # departure positions, ascending by landing value
@@ -138,18 +148,10 @@ _SLOT = 0
 
 
 def francon_viennot_inverse(history: tuple[LaguerreStep, ...]) -> Perm:
+    _check_history(history)
     word: list[int] = [_SLOT]
     for k, (d, delta, i) in enumerate(history, start=1):
-        pos = -1
-        seen = -1
-        for idx, x in enumerate(word):
-            if x == _SLOT:
-                seen += 1
-                if seen == i:
-                    pos = idx
-                    break
-        if pos < 0:
-            raise ValueError("slot index out of range; invalid history")
+        pos = [idx for idx, x in enumerate(word) if x == _SLOT][i]
         if d == UP:
             word[pos : pos + 1] = [_SLOT, k, _SLOT]
         elif d == DOWN:
@@ -158,8 +160,6 @@ def francon_viennot_inverse(history: tuple[LaguerreStep, ...]) -> Perm:
             word[pos : pos + 1] = [k, _SLOT]
         else:
             word[pos : pos + 1] = [_SLOT, k]
-    if word[-1] != _SLOT or _SLOT in word[:-1]:
-        raise ValueError("leftover slot misplaced; invalid history")
     return tuple(word[:-1])
 
 
@@ -201,13 +201,16 @@ def combine_paths(h1: tuple[Step, ...], h2: tuple[Step, ...]) -> tuple[Step, ...
 
 
 def decompose_path(p_steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
-    """Inverse of combine_paths on closed family-P paths.
+    """Inverse of combine_paths on closed family-P paths; ValueError for
+    anything else.
 
     Reads the path right to left.  Reading a step prepends to both partial
     suffixes per the rule table; the height bookkeeping h = h' + h'' between
     the three suffix starting heights is asserted at every intermediate
     stage.
     """
+    if not is_valid_family_path(p_steps, "P"):
+        raise ValueError(f"not a family-P path: {p_steps!r}")
     h1_rev: list[Step] = []
     h2_rev: list[Step] = []
     h1h = 0
@@ -226,7 +229,7 @@ def decompose_path(p_steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], tuple[S
         elif d == LEVEL and tag[0] == "ab":
             h1_rev.append((LEVEL, ("qpow",)))
             h2_rev.append((LEVEL, ("ab",)))
-        elif d == UP and tag[0] == "frac":
+        else:  # an up step ("frac", i)
             i = tag[1]
             if i < h1h:
                 h1_rev.append((UP, ("frac", i)))
@@ -235,12 +238,8 @@ def decompose_path(p_steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], tuple[S
                 h1_rev.append((LEVEL, ("qpow",)))
                 h2_rev.append((UP, ("frac", i - h1h)))
                 h2h -= 1
-        else:
-            raise ValueError(f"step {(d, tag)!r} is not admissible in family P")
         ph -= _DH[d]
         assert ph == h1h + h2h, "height bookkeeping h = h' + h'' violated"
-    if h1h != 0 or h2h != 0:
-        raise ValueError("decomposition of a closed path left open suffixes")
     return tuple(reversed(h1_rev)), tuple(reversed(h2_rev))
 
 

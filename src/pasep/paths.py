@@ -25,7 +25,8 @@ Three layers live here:
                  down: -y*at*bt*q^(h-1)
       starred    as R / B but with the split up steps of P
 
-  where at = (1-q)a - 1 and bt = (1-q)b - 1.
+  where at = (1-q)a - 1 and bt = (1-q)b - 1.  _FAMILIES holds this table;
+  any other family name is a ValueError.
 
 * Plain Dyck paths with returns/peaks statistics, Fine paths, and the
   q=0 Dyck-pair evaluation of the partition function.  fine_poly_paths
@@ -235,30 +236,34 @@ def path_json(steps: tuple[Step, ...]) -> dict:
     return {"steps": out}
 
 
-def _family_options(family: str, d: str, h: int) -> list[tuple]:
-    """Admissible weight tags for a step of direction d at starting height h."""
-    split_up = family in ("P", "R*", "B*")
-    if d == UP:
-        if split_up:
-            return [("frac", i) for i in range(h + 1)]
-        return [("one",), ("negq",)]
-    if d == LEVEL:
-        if family == "P":
-            return [("oney",), ("ab",)]
-        if family in ("R", "R*"):
-            return [("oney",), ("qpow",)]
-        return [("ab",)]
-    if family == "P":
-        return [("y",), ("negab",)]
-    if family in ("R", "R*"):
-        return [("y",)]
-    return [("negab",)]
+# Each family's admissible weight tag kinds per direction.  The one indexed
+# kind, "frac", stands for the split up steps ("frac", i), i <= h.
+_FAMILIES: dict[str, dict[str, tuple[str, ...]]] = {
+    "P": {UP: ("frac",), LEVEL: ("oney", "ab"), DOWN: ("y", "negab")},
+    "R": {UP: ("one", "negq"), LEVEL: ("oney", "qpow"), DOWN: ("y",)},
+    "R*": {UP: ("frac",), LEVEL: ("oney", "qpow"), DOWN: ("y",)},
+    "B": {UP: ("one", "negq"), LEVEL: ("ab",), DOWN: ("negab",)},
+    "B*": {UP: ("frac",), LEVEL: ("ab",), DOWN: ("negab",)},
+}
+
+
+def _family(name: str) -> dict[str, tuple[str, ...]]:
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown path family {name!r}")
+    return _FAMILIES[name]
+
+
+def _tags(kinds: tuple[str, ...], h: int) -> list[tuple]:
+    """The weight tags of the given kinds at starting height h, in order."""
+    out: list[tuple] = []
+    for kind in kinds:
+        out += [("frac", i) for i in range(h + 1)] if kind == "frac" else [(kind,)]
+    return out
 
 
 def _family_walk(family: str) -> Options:
-    return lambda h: [
-        ((d, tag), dh) for d, dh in _DH.items() for tag in _family_options(family, d, h)
-    ]
+    kinds = _family(family)
+    return lambda h: [((d, tag), dh) for d, dh in _DH.items() for tag in _tags(kinds[d], h)]
 
 
 def _q_levels(steps: tuple[Step, ...]) -> int:
@@ -416,11 +421,12 @@ def _family_steps(family: str, weigh: Callable[[tuple, int], MPoly]) -> StepWeig
     """Kernel weights of a family: at height h, the sum of weigh(tag, h)
     over the admissible tags, each q-power level step also marked by a.
     Families R and R* contain no a, so there the a-degree counts those steps."""
+    kinds = _family(family)
 
     def direction(d: str) -> Weight:
         def weight(h: int) -> MPoly:
             total = ZERO
-            for tag in _family_options(family, d, h):
+            for tag in _tags(kinds[d], h):
                 w = weigh(tag, h)
                 total = total + (w * A if tag[0] == "qpow" else w)
             return total
@@ -478,20 +484,14 @@ def jfraction_moment(rec: StepWeights, N: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
+def _dyck_options(h: int) -> tuple[tuple[str, int], ...]:
+    return (UP, 1), (DOWN, -1)
+
+
 def _check_dyck(steps) -> tuple[str, ...]:
     steps = tuple(steps)
-    h = 0
-    for s in steps:
-        if s == UP:
-            h += 1
-        elif s == DOWN:
-            h -= 1
-        else:
-            raise MalformedPath(f"bad Dyck step {s!r}")
-        if h < 0:
-            raise MalformedPath("path dips below the axis")
-    if h != 0:
-        raise MalformedPath("path does not return to height 0")
+    if not is_motzkin_walk(steps, _dyck_options):
+        raise MalformedPath(f"not a Dyck path: {steps!r}")
     return steps
 
 
@@ -511,10 +511,6 @@ def peaks(steps) -> int:
     """Number of up-down factors of a Dyck path."""
     steps = _check_dyck(steps)
     return sum(1 for i in range(len(steps) - 1) if steps[i] == UP and steps[i + 1] == DOWN)
-
-
-def _dyck_options(h: int) -> tuple[tuple[str, int], ...]:
-    return (UP, 1), (DOWN, -1)
 
 
 def enumerate_dyck(n: int) -> Iterator[tuple[str, ...]]:

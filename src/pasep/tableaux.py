@@ -12,10 +12,11 @@ n are equinumerous with permutations of n.  A 0 with a 1 somewhere above it
 is restricted, a row containing a restricted 0 is restricted, and a 1 that
 is not the topmost 1 of its column is superfluous.
 
-enumerate_tableaux builds each filling column by column, every column a
-bitmask of its rows, and yields a validated PermutationTableau.  The
-validator and tableau_stats each walk the columns once, carrying the
-column height and one flag per row.
+A PermutationTableau is its row lengths and one bitmask per column (bit i
+for row i, top row = bit 0); the 0/1 rows exist only in its JSON form.  The
+generator, the validator and tableau_stats share one mask expression,
+_restricted, for the 0-pattern rule: the restricted 0s of a column miss
+every row with a 1 further left.
 """
 
 from __future__ import annotations
@@ -39,42 +40,46 @@ class TableauStats:
     w: int  # superfluous 1s
 
 
+def _fulls(rows: tuple[int, ...]) -> list[int]:
+    # per column, left to right, the mask of the rows that reach it: from
+    # the bottom up, the columns that row i adds reach rows 0 .. i
+    fulls: list[int] = []
+    for i in range(len(rows) - 1, -1, -1):
+        fulls += [(2 << i) - 1] * (rows[i] - len(fulls))
+    return fulls
+
+
+def _restricted(mask: int, full: int) -> int:
+    # the restricted 0s of a column: its 0s below its topmost 1 (mask & -mask)
+    return (full ^ mask) & -(mask & -mask)
+
+
 @dataclass(frozen=True)
 class PermutationTableau:
     rows: tuple[int, ...]
-    fill: tuple[tuple[int, ...], ...]
+    cols: tuple[int, ...]  # one mask per column, bit i for row i
 
     def __post_init__(self):
-        # One pass over the columns, left to right: the height shrinks as
-        # rows end, and `left` flags the rows with a 1 in an earlier column.
-        # Within a column the "no 1" error comes first; otherwise the first
-        # error met top-down is raised at the column's end.
-        rows, fill = self.rows, self.fill
-        if any(map(lt, rows, rows[1:])):
-            raise ValueError("row lengths must be weakly decreasing")
-        if len(fill) != len(rows) or any(map(ne, map(len, fill), rows)):
+        # one pass over the columns; `left` holds the rows with a 1 so far
+        rows, cols = self.rows, self.cols
+        if any(map(lt, rows, (*rows[1:], 0))):
+            raise ValueError("row lengths must be weakly decreasing and >= 0")
+        if len(cols) != (rows[0] if rows else 0):
             raise ValueError("filling does not match shape")
-        height = len(rows)
         left = 0
-        for j in range(rows[0] if rows else 0):
-            while rows[height - 1] <= j:
-                height -= 1
-            seen_one = False
-            error = ""
-            for i in range(height):
-                x = fill[i][j]
-                if x not in (0, 1):
-                    error = error or "filling must be 0/1"
-                if x:
-                    seen_one = True
-                    left |= 1 << i
-                elif seen_one and left >> i & 1:
-                    # restricted 0 with a 1 to its left: forbidden pattern
-                    error = error or "0-pattern rule violated"
-            if not seen_one:
+        for j, (full, mask) in enumerate(zip(_fulls(rows), cols)):
+            if not mask:
                 raise ValueError(f"column {j} has no 1")
-            if error:
-                raise ValueError(error)
+            if not 0 < mask <= full:
+                raise ValueError("filling does not match shape")
+            if _restricted(mask, full) & left:
+                raise ValueError("0-pattern rule violated")
+            left |= mask
+
+    @property
+    def fill(self) -> tuple[tuple[int, ...], ...]:
+        """The 0/1 rows, top to bottom."""
+        return tuple(tuple(m >> i & 1 for m in self.cols[:n]) for i, n in enumerate(self.rows))
 
     def to_json(self) -> str:
         return json.dumps({"rows": list(self.rows), "fill": [list(r) for r in self.fill]})
@@ -82,27 +87,26 @@ class PermutationTableau:
     @classmethod
     def from_json(cls, s: str) -> "PermutationTableau":
         d = json.loads(s)
-        return cls(tuple(d["rows"]), tuple(tuple(r) for r in d["fill"]))
+        rows, fill = tuple(d["rows"]), d["fill"]
+        if len(fill) != len(rows) or any(map(ne, map(len, fill), rows)):
+            raise ValueError("filling does not match shape")
+        if any(x not in (0, 1) for row in fill for x in row):
+            raise ValueError("filling must be 0/1")
+        cols = tuple(
+            sum(1 << i for i, row in enumerate(fill) if j < len(row) and row[j])
+            for j in range(rows[0] if rows else 0)
+        )
+        return cls(rows, cols)
 
 
 def tableau_stats(t: PermutationTableau) -> TableauStats:
-    # one pass over the columns, as in PermutationTableau.__post_init__
-    rows, fill = t.rows, t.fill
-    height = len(rows)
-    restricted = 0  # flags of the rows holding a 0 below a 1
-    w = 0
-    for j in range(rows[0] if rows else 0):
-        while rows[height - 1] <= j:
-            height -= 1
-        seen_one = False
-        for i in range(height):
-            if fill[i][j]:
-                w += seen_one
-                seen_one = True
-            elif seen_one:
-                restricted |= 1 << i
-    a = sum(fill[0]) if rows else 0
-    return TableauStats(a=a, b=len(rows) - restricted.bit_count(), r=len(rows), w=w)
+    a = w = restricted = 0
+    for full, mask in zip(_fulls(t.rows), t.cols):
+        a += mask & 1
+        w += mask.bit_count() - 1
+        restricted |= _restricted(mask, full)
+    r = len(t.rows)
+    return TableauStats(a=a, b=r - restricted.bit_count(), r=r, w=w)
 
 
 def _shapes(r: int, c: int) -> Iterator[tuple[int, ...]]:
@@ -114,29 +118,19 @@ def _shapes(r: int, c: int) -> Iterator[tuple[int, ...]]:
 
 
 def _fillings(shape: tuple[int, ...]) -> Iterator[PermutationTableau]:
-    # Column-major backtracking.  A column of height m is a bitmask in
-    # 1 .. 2^m - 1 with bit i for row i (top row = bit 0), tried in
-    # increasing order.  The 0-pattern rule is column-local given `left`, the
-    # rows that already carry a 1 to the left, so pruning is sound: a mask is
-    # allowed iff no 0 below its topmost 1 (bit mask & -mask) is in `left`.
-    r = len(shape)
-    heights = [sum(1 for ln in shape if ln > j) for j in range(shape[0] if shape else 0)]
-    cols: list[int] = []
-    bits = [bytes(m >> i & 1 for m in range(1 << r)) for i in range(r)]  # bits[i][m]: row i of m
-
-    def rec(j: int, left: int):
-        if j == len(heights):
-            fill = tuple(tuple(map(bits[i].__getitem__, cols[: shape[i]])) for i in range(r))
-            yield PermutationTableau(shape, fill)
-            return
-        full = (1 << heights[j]) - 1
-        for mask in range(1, full + 1):
-            if not (full ^ mask) & -(mask & -mask) & left:
-                cols.append(mask)
-                yield from rec(j + 1, left | mask)
-                cols.pop()
-
-    yield from rec(0, 0)
+    # The valid fillings of the first columns, each with `left`, the rows
+    # holding a 1 there, extended one column at a time: given `left` the
+    # 0-pattern rule is column-local.  Masks go in increasing order, so the
+    # fillings come in lexicographic order of their columns.
+    partial = [((), 0)]
+    for full in _fulls(shape):
+        partial = [
+            ((*cols, mask), left | mask)
+            for cols, left in partial
+            for mask in range(1, full + 1)
+            if not _restricted(mask, full) & left
+        ]
+    return (PermutationTableau(shape, cols) for cols, _ in partial)
 
 
 def enumerate_tableaux(size: int) -> Iterator[PermutationTableau]:
@@ -160,4 +154,3 @@ def zn_tableaux(N: int) -> MPoly:
     if N < 0:
         raise ValueError("N must be >= 0")
     return MPoly(Counter(map(_key, map(tableau_stats, enumerate_tableaux(N + 1)))))
-

@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import ansatz, bijections, formulas, paths, perms, tableaux
 from .polyring import (
@@ -159,6 +160,14 @@ def _type_steps(history: tuple[paths.LaguerreStep, ...]) -> tuple[set[int], set[
     )
 
 
+def _inverts(inverse: Callable[[tuple], perms.Perm], history: tuple, sigma: perms.Perm) -> bool:
+    """inverse(history) == sigma, and False when inverse rejects history."""
+    try:
+        return inverse(history) == sigma
+    except ValueError:
+        return False
+
+
 def bijection_suite(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("bijections")
     cap = _cap(7, max_n)
@@ -179,11 +188,9 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
             hv = bijections.francon_viennot(sigma)
             seen_fz.add(hz)
             seen_fv.add(hv)
-            if not (paths.is_valid_history(hz) and paths.is_valid_history(hv)):
-                fz_ok = fv_ok = False
-            if bijections.foata_zeilberger_inverse(hz) != sigma:
+            if not _inverts(bijections.foata_zeilberger_inverse, hz, sigma):
                 fz_ok = False
-            if bijections.francon_viennot_inverse(hv) != sigma:
+            if not _inverts(bijections.francon_viennot_inverse, hv, sigma):
                 fv_ok = False
             if paths.history_weight(hz) != monomial(1, ey=st.wex, eq=st.cr):
                 fz_wt = False

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pasep.bijections import (
@@ -102,6 +104,21 @@ def test_fv_round_trip_exhaustive():
             assert francon_viennot_inverse(h) == sigma
 
 
+# every (direction, delta, i) step with delta in 0, 1 and i in 0 .. 2
+HISTORY_ALPHABET = list(itertools.product((UP, LEVEL, DOWN), (0, 1), range(3)))
+
+
+@pytest.mark.parametrize("inverse", [foata_zeilberger_inverse, francon_viennot_inverse])
+def test_insertion_inverses_raise_exactly_off_the_histories(inverse):
+    for length in range(4):
+        for h in itertools.product(HISTORY_ALPHABET, repeat=length):
+            if is_valid_history(h):
+                assert sorted(inverse(h)) == list(range(1, length + 1))
+            else:
+                with pytest.raises(ValueError):
+                    inverse(h)
+
+
 def test_fv_weight_law():
     for n in range(7):
         for sigma in enumerate_permutations(n):
@@ -151,6 +168,24 @@ def test_combine_decompose_round_trip():
         for p in enumerate_PN(N):
             h1, h2 = decompose_path(p)
             assert combine_paths(h1, h2) == p
+
+
+# the steps of family P, the up steps with indices 0 .. 2
+P_ALPHABET = [
+    *((UP, ("frac", i)) for i in range(3)),
+    (LEVEL, ("oney",)), (LEVEL, ("ab",)), (DOWN, ("y",)), (DOWN, ("negab",)),
+]
+
+
+def test_decompose_path_raises_exactly_off_family_P():
+    for length in range(5):
+        for p in itertools.product(P_ALPHABET, repeat=length):
+            if is_valid_family_path(p, "P"):
+                h1, h2 = decompose_path(p)
+                assert combine_paths(h1, h2) == p
+            else:
+                with pytest.raises(ValueError):
+                    decompose_path(p)
 
 
 FIG2_BICOLOR = (UP, L2, DOWN, LEVEL, UP, LEVEL, UP, DOWN, L2, DOWN)

@@ -220,6 +220,19 @@ def test_count_family_matches_enumeration():
         assert count_family(N, "P") == sum(1 for _ in enumerate_PN(N))
 
 
+def test_unknown_family_is_rejected():
+    b_path = ((UP, ("one",)), (DOWN, ("negab",)))
+    assert is_valid_family_path(b_path, "B")
+    for call in (
+        lambda: count_family(4, "nonsense"),
+        lambda: count_family(0, "nonsense"),
+        lambda: is_valid_family_path(b_path, "nonsense"),
+        lambda: is_valid_family_path((), "nonsense"),
+    ):
+        with pytest.raises(ValueError, match="unknown path family"):
+            call()
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -44,7 +44,8 @@ ALLOWED = {
     # Python protocols
     "polyring.MPoly.__rsub__",
     "polyring.MPoly.__repr__",
-    # public inverse of the JSON that `enumerate --object tableau` prints
+    # public inverse of the JSON that `enumerate --object tableau` prints,
+    # and the one way to build a tableau from its 0/1 rows
     "tableaux.PermutationTableau.from_json",
     # public pass/fail summary of a report; the CLI counts failures instead
     "verify.VerifyReport.ok",

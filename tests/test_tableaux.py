@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -40,19 +41,27 @@ def test_size_8_aggregate_pass():
 
 def test_single_all_ones_row():
     for k in range(1, 5):
-        t = PermutationTableau((k,), ((1,) * k,))
+        t = PermutationTableau((k,), (1,) * k)
         st = tableau_stats(t)
         assert (st.a, st.b, st.r, st.w) == (k, 1, 1, 0)
 
 
+def _from_fill(rows, fill):
+    """The tableau with these row lengths and 0/1 rows, through its JSON form."""
+    return PermutationTableau.from_json(json.dumps({"rows": rows, "fill": fill}))
+
+
 def test_invalid_tableaux_rejected():
-    with pytest.raises(ValueError):
-        PermutationTableau((1,), ((0,),))  # column without a 1
-    with pytest.raises(ValueError):
-        PermutationTableau((1, 2), ((1,), (1, 1)))  # not weakly decreasing
-    # restricted 0 with a 1 to its left: forbidden pattern
-    with pytest.raises(ValueError):
-        PermutationTableau((2, 2), ((1, 1), (1, 0)))
+    for rows, cols in [
+        ((1,), (0,)),  # column without a 1
+        ((1, 2), (3, 2)),  # not weakly decreasing
+        ((2, -1), (1, 1)),  # negative row length
+        ((2, 2), (3, 1)),  # restricted 0 with a 1 to its left: forbidden pattern
+        ((1,), (2,)),  # a 1 below the end of its column
+        ((2,), (1,)),  # fewer columns than the first row
+    ]:
+        with pytest.raises(ValueError):
+            PermutationTableau(rows, cols)
 
 
 def _oracle(rows, fill):
@@ -94,7 +103,7 @@ def test_validator_accepts_exactly_the_definition():
     for rows in _decreasing(3, 3):
         for fill in _fillings_over(rows, (0, 1, 2)):
             try:
-                PermutationTableau(rows, fill)
+                _from_fill(rows, fill)
                 accepted = True
             except ValueError:
                 accepted = False
@@ -130,7 +139,7 @@ def test_enumeration_and_stats_match_the_definition():
 
 def test_valid_restricted_zero():
     # 0s below 1s are fine when everything to their left is 0
-    t = PermutationTableau((2, 2), ((1, 1), (0, 0)))
+    t = _from_fill((2, 2), ((1, 1), (0, 0)))
     st = tableau_stats(t)
     assert st.b == 1  # second row is restricted
     assert st.a == 2 and st.w == 0
@@ -167,6 +176,10 @@ def test_top_degree_through_6():
 def test_json_round_trip():
     for t in enumerate_tableaux(4):
         assert PermutationTableau.from_json(t.to_json()) == t
+    # a fill off its shape, or with an entry other than 0 and 1
+    for rows, fill in [((2,), [[1]]), ((1, 1), [[1]]), ((1,), [[2]]), ((1,), [[-1]])]:
+        with pytest.raises(ValueError):
+            _from_fill(rows, fill)
 
 
 def test_shapes_order():

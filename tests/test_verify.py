@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import pasep.verify as verify
+from pasep.paths import DOWN
 from pasep.polyring import ONE, Y, canonical_string
 
 
@@ -47,3 +48,14 @@ def test_broken_tilde_fails_only_the_tilde_check(monkeypatch, broken):
     monkeypatch.setattr(verify.perms, "tilde", broken)
     failed = [name for name, _ in verify.bijection_suite(max_n=3).failures]
     assert failed and all(name.startswith("tilde involution preserves") for name in failed)
+
+
+@pytest.mark.parametrize("name", ["foata_zeilberger", "francon_viennot"])
+def test_bad_history_image_fails_its_round_trip_check(monkeypatch, name):
+    # an image that is not a Laguerre history: the inverse rejects it, and
+    # the suite records a failed round trip instead of raising
+    monkeypatch.setattr(verify.bijections, name, lambda sigma: ((DOWN, 0, 0),) * len(sigma))
+    failed = {n for n, _ in verify.bijection_suite(max_n=2).failures}
+    prefix = "FZ" if name == "foata_zeilberger" else "FV"
+    assert {f"{prefix} round trip and validity, n={n}" for n in (1, 2)} <= failed
+    assert f"{prefix} round trip and validity, n=0" not in failed
