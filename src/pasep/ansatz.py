@@ -22,7 +22,9 @@ obtained by replacing E^i D^j with a^i b^j.  A second, rook-placement
 flavored route normal orders (qy Dh + q Eh)^k for the shifted operators
 Dh = ((q-1) D + I)/q, Eh = ((q-1) E + I)/q whose coefficients d[k][i, j]
 satisfy a three-term recurrence solved by q-binomial times the
-ballot-difference kernel M.
+ballot-difference kernel M.  That route sums monomials in at and y bt, so
+it works in the shifted basis and leaves it through polyring.from_shifted;
+the matrices above expand at and bt in a, b and q.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .polyring import (
     Y,
     ZERO,
     exact_div_pow_one_minus_q,
+    from_shifted,
     monomial,
 )
 from .qtools import binomial, q_binomial, touchard_M
@@ -204,6 +207,8 @@ def zn_hatted(N: int) -> MPoly:
     (1-q)^N Z equals sum over k of C(N,k) (1+y)^(N-k) (-1)^k times the
     (0,0) expectation of (qy Dh + q Eh)^k, and that expectation expands as
     sum d[k][i,j] (-at)^i (-y bt)^j; the parity of d makes all signs cancel.
+    Each at^i (y bt)^j stays one monomial, at and bt held in the a and b
+    slots, and from_shifted expands the sum and divides it by (1-q)^N.
     """
     acc = ZERO
     one_plus_y_pow = [ONE]
@@ -212,6 +217,6 @@ def zn_hatted(N: int) -> MPoly:
     for k in range(N + 1):
         inner = ZERO
         for (i, j), c in hatted_coeffs(k).items():
-            inner = inner + c * ALPHA_TILDE**i * (Y * BETA_TILDE) ** j
+            inner = inner + c * monomial(1, ey=j, ea=i, eb=j)
         acc = acc + binomial(N, k) * one_plus_y_pow[N - k] * inner
-    return exact_div_pow_one_minus_q(acc, N)
+    return from_shifted(acc, N)

@@ -39,8 +39,9 @@ level steps and a length-n path of family B* into a path of family P
 (combine_paths), by letting the j-th step of the B* path ride on the j-th
 q-power level step of the R* path.  The inverse (decompose_path) reads the
 P path right to left and redistributes each step by a six-case rule table,
-tracking the suffix starting heights h' and h'' with h = h' + h''.  It
-raises ValueError for anything that is not a family-P path.
+tracking the suffix starting heights h' and h'' with h = h' + h''.  Both
+check their domain with paths.is_valid_family_path and raise ValueError
+outside it.
 
 The q = 0 reduction maps bicolor Motzkin paths (two level kinds, no second
 kind at height 0) to pairs of Dyck paths through step doubling and the
@@ -174,8 +175,13 @@ def combine_paths(h1: tuple[Step, ...], h2: tuple[Step, ...]) -> tuple[Step, ...
     The combined step keeps the R* step unless that step is a q-power
     level, in which case it takes the direction of the next B* step and the
     product weight; the product is again a single admissible tag because
-    q^h' * (q^i - q^(i+1)) = q^(h'+i) - q^(h'+i+1).
+    q^h' * (q^i - q^(i+1)) = q^(h'+i) - q^(h'+i+1).  Raises ValueError
+    unless h1 is a closed R* path and h2 a closed B* path.
     """
+    if not is_valid_family_path(h1, "R*"):
+        raise ValueError(f"not a family-R* path: {h1!r}")
+    if not is_valid_family_path(h2, "B*"):
+        raise ValueError(f"not a family-B* path: {h2!r}")
     q_level_count = _q_levels(h1)
     if q_level_count != len(h2):
         raise LengthMismatch(

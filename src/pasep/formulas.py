@@ -6,7 +6,10 @@ The headline formula expresses the partition function as
 
 where R(N, n) is a ballot-type double sum in y and q (qtools.q_ballot_sum)
 and B(n) is the Rogers-Szego sum_k [n,k]_q at^k (y bt)^(n-k) in the shifted
-boundary parameters (qtools.rogers_szego).  Around it live the y=1 collapse
+boundary parameters (qtools.rogers_szego).  zn_closed keeps at and bt as
+variables through the whole sum and leaves the shifted basis once, through
+polyring.from_shifted; B_formula is B(n) expanded in a, b and q, the form
+the path sums are checked against.  Around it live the y=1 collapse
 of R, the a=b=1 triple sum, the y=q=1 rising product, the Al-Salam-Chihara
 moment formulas (both the ballot form and Stanton's rational evaluation),
 q-secant and q-tangent numbers, Carlitz q-Stirling numbers, q-Eulerian
@@ -34,6 +37,7 @@ from .polyring import (
     coeff_of,
     exact_div_pow_one_minus_q,
     exact_div_var,
+    from_shifted,
     monomial,
     substitute,
 )
@@ -89,11 +93,16 @@ def B_formula(n: int) -> MPoly:
 
 @lru_cache(maxsize=None)
 def zn_closed(N: int) -> MPoly:
-    """Partition function by the closed formula; the division is exact."""
+    """Partition function by the closed formula, summed in the shifted basis.
+
+    Each B(n) stays a Rogers-Szego sum in the variables at and bt, held in
+    the a and b slots, and from_shifted takes the whole sum back to a and b
+    and divides it by (1-q)^N, once.
+    """
     acc = ZERO
     for n in range(N + 1):
-        acc = acc + R_formula(N, n) * B_formula(n)
-    return exact_div_pow_one_minus_q(acc, N)
+        acc = acc + R_formula(N, n) * rogers_szego(n, A, Y * B)
+    return from_shifted(acc, N)
 
 
 @lru_cache(maxsize=None)

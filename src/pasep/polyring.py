@@ -8,11 +8,16 @@ The shifted boundary combinations
 
     alpha_tilde = (1 - q) * a - 1        beta_tilde = (1 - q) * b - 1
 
-are provided as precomputed polynomials (ALPHA_TILDE, BETA_TILDE); they are
-never first-class variables.  Division by powers of (1 - q) is the single
-place where denominators get discharged, and it insists on a zero remainder
-so that a transcription error in any formula fails loudly instead of
-producing a wrong polynomial.
+are provided expanded in a, b and q (ALPHA_TILDE, BETA_TILDE).  A route
+whose sum is made of monomials in at and bt stays in the shifted basis
+instead, Z[y, q, at, bt] with at and bt in the a and b exponent slots, and
+leaves it once through from_shifted(p, N), which returns p / (1 - q)^N in
+a and b.  That saves expanding every power of at and bt in a, b and q
+before the sum.  Routes whose factors mix at, bt and q^h (the transfer
+operators) use the expanded forms.  Division by powers of (1 - q) is the
+single place where denominators get discharged, and it insists on a zero
+remainder so that a transcription error in any formula fails loudly
+instead of producing a wrong polynomial.
 
 Representation: a polynomial maps exponent tuples (ey, eq, ea, eb) to
 nonzero coefficients; the zero polynomial is the empty mapping.  Values are
@@ -227,6 +232,52 @@ def exact_div_pow_one_minus_q(p: MPoly, n: int) -> MPoly:
     for _ in range(n):
         p = _div_one_minus_q(p)
     return p
+
+
+def _shift_down(t: dict[Exponent, int], idx: int) -> dict[Exponent, int]:
+    # Taylor shift x -> x - 1 in exponent slot idx.  For each fixed rest of
+    # the exponent, the coefficients c_0..c_d of x^k become those of
+    # sum c_k (x - 1)^k by d(d+1)/2 repeated subtractions.
+    groups: dict[Exponent, list[int]] = {}
+    for e, c in t.items():
+        k = e[idx]
+        coeffs = groups.setdefault(e[:idx] + (0,) + e[idx + 1 :], [])
+        if len(coeffs) <= k:
+            coeffs.extend([0] * (k + 1 - len(coeffs)))
+        coeffs[k] = c
+    out: dict[Exponent, int] = {}
+    for rest, c in groups.items():
+        d = len(c) - 1
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] -= c[j + 1]
+        for k, ck in enumerate(c):
+            if ck:
+                out[rest[:idx] + (k,) + rest[idx + 1 :]] = ck
+    return out
+
+
+def from_shifted(p: MPoly, N: int) -> MPoly:
+    """p(at, bt) / (1-q)^N in a and b, for p held in the shifted basis.
+
+    The a and b exponent slots of p carry at = (1-q)a - 1 and
+    bt = (1-q)b - 1.  The Taylor shift at -> u - 1, bt -> v - 1 rewrites p
+    in u = (1-q)a and v = (1-q)b, and u^k v^l = (1-q)^(k+l) a^k b^l, so
+    the terms of total degree m = k + l are divided by (1-q)^(N-m) alone.
+    Raises NotDivisible when some m exceeds N or a division leaves a
+    remainder.
+    """
+    if N < 0:
+        raise ValueError("negative divisor power")
+    by_degree: dict[int, dict[Exponent, int]] = {}
+    for e, c in _shift_down(_shift_down(p._t, 2), 3).items():
+        by_degree.setdefault(e[2] + e[3], {})[e] = c
+    out: dict[Exponent, int] = {}
+    for m, t in by_degree.items():
+        if m > N:
+            raise NotDivisible(f"shifted degree {m} exceeds {N}")
+        out.update(exact_div_pow_one_minus_q(MPoly._raw(t), N - m)._t)
+    return MPoly._raw(out)
 
 
 def exact_div_var(p: MPoly, var: str, n: int = 1) -> MPoly:

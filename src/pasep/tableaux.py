@@ -87,6 +87,14 @@ class PermutationTableau:
     @classmethod
     def from_json(cls, s: str) -> "PermutationTableau":
         d = json.loads(s)
+        if not (
+            isinstance(d, dict)
+            and isinstance(d.get("rows"), list)
+            and isinstance(d.get("fill"), list)
+            and all(type(n) is int for n in d["rows"])
+            and all(isinstance(row, list) for row in d["fill"])
+        ):
+            raise ValueError('tableau JSON must be {"rows": [int, ...], "fill": [[...], ...]}')
         rows, fill = tuple(d["rows"]), d["fill"]
         if len(fill) != len(rows) or any(map(ne, map(len, fill), rows)):
             raise ValueError("filling does not match shape")

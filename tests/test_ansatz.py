@@ -138,6 +138,11 @@ def test_zn_hatted_matches():
         assert zn_hatted(N) == zn_closed(N)
 
 
+def test_shifted_routes_match_normal():
+    # normal never enters the shifted basis, so it checks from_shifted
+    assert zn_closed(11) == zn_hatted(11) == zn_normal(11)
+
+
 def test_state_weights():
     assert state_weight("E") == A
     assert state_weight("D") == B

@@ -170,6 +170,15 @@ def test_combine_decompose_round_trip():
             assert combine_paths(h1, h2) == p
 
 
+def test_combine_paths_raises_off_its_domain():
+    # h2 is the right length but no B* path: it never comes back down
+    with pytest.raises(ValueError):
+        combine_paths(((LEVEL, ("qpow",)),), ((UP, ("frac", 0)),))
+    # h1 is no R* path: it goes below height 0
+    with pytest.raises(ValueError):
+        combine_paths(((DOWN, ("y",)), (UP, ("frac", 0))), ())
+
+
 # the steps of family P, the up steps with indices 0 .. 2
 P_ALPHABET = [
     *((UP, ("frac", i)) for i in range(3)),

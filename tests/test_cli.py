@@ -18,6 +18,18 @@ def test_zn_closed(capsys):
     assert capsys.readouterr().out.strip() == "y*b + a"
 
 
+# The bench's correctness gate: the SHA-256 of `zn --n N` stdout, read only.
+BENCH_REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("method", ["closed", "hatted"])
+@pytest.mark.parametrize("n", sorted(BENCH_REFERENCE["zn_sha256"]))
+def test_zn_matches_bench_reference(capsys, method, n):
+    assert run(["zn", "--n", n, "--method", method]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == BENCH_REFERENCE["zn_sha256"][n]
+
+
 def test_zn_paths_zero(capsys):
     assert run(["zn", "--n", "0", "--method", "paths"]) == 0
     assert capsys.readouterr().out.strip() == "1"

@@ -2,9 +2,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pasep import ansatz, formulas
 from pasep.polyring import (
     A,
     B,
@@ -22,6 +23,8 @@ from pasep.polyring import (
     eval_rational,
     exact_div_pow_one_minus_q,
     exact_div_var,
+    from_shifted,
+    monomial,
     parse_poly,
     substitute,
     y_reflect,
@@ -76,6 +79,51 @@ def test_exact_div_constructed_quotient():
 def test_exact_div_failure():
     with pytest.raises(NotDivisible):
         exact_div_pow_one_minus_q(ONE + Q, 1)
+
+
+def _shifted_sum(monkeypatch, module, route, N):
+    # the sum a route hands to from_shifted, built without its cache
+    seen = []
+    monkeypatch.setattr(module, "from_shifted", lambda p, n: seen.append(p) or from_shifted(p, n))
+    route.__wrapped__(N)
+    return seen[0]
+
+
+@pytest.mark.parametrize("module, route", [(formulas, formulas.zn_closed), (ansatz, ansatz.zn_hatted)])
+def test_from_shifted_matches_expanding_first(monkeypatch, module, route):
+    for N in range(7):
+        p = _shifted_sum(monkeypatch, module, route, N)
+        expanded = substitute(substitute(p, "a", ALPHA_TILDE), "b", BETA_TILDE)
+        assert from_shifted(p, N) == exact_div_pow_one_minus_q(expanded, N), N
+
+
+def _into_shifted(z, N):
+    # z = sum c_kl a^k b^l  ->  sum c_kl (1-q)^(N-k-l) (at+1)^k (bt+1)^l
+    acc = ZERO
+    for (ey, eq, ea, eb), c in z.items():
+        acc = acc + monomial(c, ey=ey, eq=eq) * (ONE - Q) ** (N - ea - eb) * (A + 1) ** ea * (B + 1) ** eb
+    return acc
+
+
+HAND_BUILT_Z = 3 * Y * Q**2 * A**2 * B - Q * B**3 + Y**2 + 5 * A - 2 * Y * Q * A * B
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.integers(0, 2))
+@example(HAND_BUILT_Z, 0)
+@example(HAND_BUILT_Z, 2)
+def test_from_shifted_inverts(z, extra):
+    N = max((ea + eb for (_, _, ea, eb), _ in z.items()), default=0) + extra
+    assert from_shifted(_into_shifted(z, N), N) == z
+
+
+def test_from_shifted_rejects():
+    with pytest.raises(ValueError):
+        from_shifted(ONE, -1)
+    with pytest.raises(NotDivisible):
+        from_shifted(A * B, 1)  # shifted degree 2 > N = 1
+    with pytest.raises(NotDivisible):
+        from_shifted(A, 1)  # ((1-q)a - 1) / (1-q)
 
 
 def test_exact_div_var():

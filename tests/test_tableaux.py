@@ -180,6 +180,10 @@ def test_json_round_trip():
     for rows, fill in [((2,), [[1]]), ((1, 1), [[1]]), ((1,), [[2]]), ((1,), [[-1]])]:
         with pytest.raises(ValueError):
             _from_fill(rows, fill)
+    # JSON of the wrong form
+    for s in ["{}", "[1]", '{"rows": 3, "fill": []}']:
+        with pytest.raises(ValueError):
+            PermutationTableau.from_json(s)
 
 
 def test_shapes_order():
