@@ -7,6 +7,12 @@ by nine independent routes (closed formula, transfer matrices, two normal
 orderings, two permutation statistics, permutation tableaux, Laguerre
 histories, weighted path families), together with the bijections, moment
 formulas and classical-sequence specializations tying them together.
+
+`METHODS` names the nine routes and `zn(N, method)` is the validated entry
+point to them.  The bijections (`pasep.bijections`) and the
+cross-validation suites (`pasep.verify`) are not imported here; each loads
+when first imported, so a process that only computes Z(N) never compiles
+them.
 """
 
 from .polyring import (
@@ -64,14 +70,6 @@ from .paths import (
     zn_histories,
     zn_paths,
 )
-from .bijections import (
-    combine_paths,
-    decompose_path,
-    foata_zeilberger,
-    foata_zeilberger_inverse,
-    francon_viennot,
-    francon_viennot_inverse,
-)
 from .ansatz import (
     hatted_coeffs,
     normal_order,
@@ -95,5 +93,29 @@ from .formulas import (
     zn_closed,
     zn_product_y1q1,
 )
+
+# The nine routes to Z(N), by CLI method name.  `verify.METHODS` is this same
+# dict, so the CLI and every verify suite dispatch through one table.
+METHODS = {
+    "closed": zn_closed,
+    "matrix": zn_matrix,
+    "normal": zn_normal,
+    "hatted": zn_hatted,
+    "perm-wex": zn_perm_wexcr,
+    "perm-asc": zn_perm_asc312,
+    "tableaux": zn_tableaux,
+    "histories": zn_histories,
+    "paths": zn_paths,
+}
+
+
+def zn(N: int, method: str) -> MPoly:
+    """Z(N) by the named route; ValueError for N < 0 or an unknown method."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method](N)
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
-from . import ansatz, formulas, paths, perms, tableaux, verify
+from . import METHODS, ansatz, formulas, paths, perms, tableaux, zn
 from .polyring import canonical_string, eval_rational
 
 CAP_DEFAULT = 9
+# the keys of verify.SUITES, sorted; `verify` itself loads only for a verify job
+SUITE_NAMES = ("all", "bijections", "cross-methods", "identities", "moments", "specials", "symmetry")
 SLOW_METHODS = {"perm-wex", "perm-asc", "tableaux", "histories"}
 EXIT_USAGE = 2
 EXIT_CAP = 3
@@ -73,7 +74,7 @@ def _cmd_zn(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    z = verify.METHODS[args.method](args.n)
+    z = zn(args.n, args.method)
     if point is not None:
         print(eval_rational(z, **point))
     else:
@@ -82,6 +83,8 @@ def _cmd_zn(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     reports = verify.run_suite(args.suite, args.max_n)
     failures = 0
     for rep in reports:
@@ -106,11 +109,11 @@ def _weighted(steps, **extra) -> dict:
 # `enumerate --object` choices: each maps n to the JSON records of its objects.
 OBJECTS = {
     "permutation": lambda n: (
-        {"perm": perms.perm_string(s), "stats": asdict(perms.stats(s))}
+        {"perm": perms.perm_string(s), "stats": perms.stats(s)._asdict()}
         for s in perms.enumerate_permutations(n)
     ),
     "tableau": lambda n: (
-        {**json.loads(t.to_json()), "stats": asdict(tableaux.tableau_stats(t))}
+        {**json.loads(t.to_json()), "stats": tableaux.tableau_stats(t)._asdict()}
         for t in tableaux.enumerate_tableaux(n)
     ),
     "laguerre": lambda n: (
@@ -167,13 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zn = sub.add_parser("zn", help="compute the partition function")
     p_zn.add_argument("--n", type=non_negative_int, required=True)
-    p_zn.add_argument("--method", choices=sorted(verify.METHODS), default="closed")
+    p_zn.add_argument("--method", choices=sorted(METHODS), default="closed")
     p_zn.add_argument("--eval", metavar="a=..,b=..,y=..,q=..", default=None)
     p_zn.add_argument("--force", action="store_true")
     p_zn.set_defaults(func=_cmd_zn)
 
     p_verify = sub.add_parser("verify", help="run a cross-validation suite")
-    p_verify.add_argument("--suite", choices=sorted(verify.SUITES), default="all")
+    p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -199,14 +199,18 @@ def mu_from_Z(N: int) -> MPoly:
         raise ValueError("mu_from_Z requires N >= 0")
     a1 = monomial(1, ea=1) + ONE
     b1 = monomial(1, eb=1) + ONE
+    # the powers 0 .. N of (at+1), (bt+1) and (1-q), each built once
+    a_pow, b_pow, q_pow = [ONE], [ONE], [ONE]
+    for _ in range(N):
+        a_pow.append(a_pow[-1] * a1)
+        b_pow.append(b_pow[-1] * b1)
+        q_pow.append(q_pow[-1] * (ONE - Q))
     acc = ZERO
     for k in range(N + 1):
         zk = substitute(zn_closed(k), "y", ONE)
         rewritten = ZERO
         for (ey, eq, ea, eb), c in zk.items():
-            rewritten = rewritten + (
-                monomial(c, eq=eq) * a1**ea * b1**eb * (ONE - Q) ** (k - ea - eb)
-            )
+            rewritten = rewritten + monomial(c, eq=eq) * a_pow[ea] * b_pow[eb] * q_pow[k - ea - eb]
         sign = -1 if (N - k) % 2 else 1
         acc = acc + sign * binomial(N, k) * (2 ** (N - k)) * rewritten
     return acc

@@ -29,10 +29,9 @@ p31_2 are the reference it is tested against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .polyring import Exponent, MPoly
 
@@ -60,8 +59,7 @@ def perm_string(sigma: Perm) -> str:
     return ",".join(str(v) for v in sigma)
 
 
-@dataclass(frozen=True)
-class PermStats:
+class PermStats(NamedTuple):
     wex: int
     cr: int
     asc: int

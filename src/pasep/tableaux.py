@@ -23,30 +23,29 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import lt, ne
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .polyring import MPoly, Exponent
 
 
-@dataclass(frozen=True)
-class TableauStats:
+class TableauStats(NamedTuple):
     a: int  # 1s in the first row
     b: int  # unrestricted rows
     r: int  # rows, zero-length rows included
     w: int  # superfluous 1s
 
 
-def _fulls(rows: tuple[int, ...]) -> list[int]:
+@lru_cache(maxsize=1024)  # every shape of size <= 10, the CLI cap
+def _fulls(rows: tuple[int, ...]) -> tuple[int, ...]:
     # per column, left to right, the mask of the rows that reach it: from
     # the bottom up, the columns that row i adds reach rows 0 .. i
     fulls: list[int] = []
     for i in range(len(rows) - 1, -1, -1):
         fulls += [(2 << i) - 1] * (rows[i] - len(fulls))
-    return fulls
+    return tuple(fulls)
 
 
 def _restricted(mask: int, full: int) -> int:
@@ -54,14 +53,18 @@ def _restricted(mask: int, full: int) -> int:
     return (full ^ mask) & -(mask & -mask)
 
 
-@dataclass(frozen=True)
-class PermutationTableau:
+class _Tableau(NamedTuple):
     rows: tuple[int, ...]
     cols: tuple[int, ...]  # one mask per column, bit i for row i
 
-    def __post_init__(self):
+
+class PermutationTableau(_Tableau):
+    # a typing.NamedTuple class may not define __new__, so the checks that
+    # every construction runs live in this subclass
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[int, ...], cols: tuple[int, ...]):
         # one pass over the columns; `left` holds the rows with a 1 so far
-        rows, cols = self.rows, self.cols
         if any(map(lt, rows, (*rows[1:], 0))):
             raise ValueError("row lengths must be weakly decreasing and >= 0")
         if len(cols) != (rows[0] if rows else 0):
@@ -75,6 +78,7 @@ class PermutationTableau:
             if _restricted(mask, full) & left:
                 raise ValueError("0-pattern rule violated")
             left |= mask
+        return super().__new__(cls, rows, cols)
 
     @property
     def fill(self) -> tuple[tuple[int, ...], ...]:

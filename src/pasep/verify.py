@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from . import ansatz, bijections, formulas, paths, perms, tableaux
+from . import METHODS, ansatz, bijections, formulas, paths, perms
 from .polyring import (
     MPoly,
     ONE,
@@ -40,28 +39,16 @@ GOLDEN = {
     " + 2*y*q*a*b + y*a^2*b + 2*y*a^2 + y*a*b + y*a + y*b + a^3",
 }
 
-METHODS = {
-    "closed": formulas.zn_closed,
-    "matrix": ansatz.zn_matrix,
-    "normal": ansatz.zn_normal,
-    "hatted": ansatz.zn_hatted,
-    "perm-wex": perms.zn_perm_wexcr,
-    "perm-asc": perms.zn_perm_asc312,
-    "tableaux": tableaux.zn_tableaux,
-    "histories": paths.zn_histories,
-    "paths": paths.zn_paths,
-}
-
 FAST_METHODS = ("closed", "matrix", "normal", "hatted")
 MOMENT_POINTS = 20  # rational points per N in moment_suite, drawn with MOMENT_SEED
 MOMENT_SEED = 20110401
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    checks: list[str] = field(default_factory=list)
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list[str] = []
+        self.failures: list[tuple[str, str]] = []
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(name)

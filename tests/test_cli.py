@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from pasep.cli import run
+import pasep
+from pasep import verify
+from pasep.cli import build_parser, run
 from pasep.verify import GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +128,21 @@ def test_enumerate_tableau_count(capsys):
     assert len(lines) == 24
 
 
+# SHA-256 of `pasep enumerate --object X --n 4`: the records carry the
+# statistics tuples' fields in declaration order.
+ENUMERATE_N4_SHA256 = {
+    "permutation": "1ac2df73eb5da6615cb4bd4722a6ee2cf9432bdd2563ee7ac62b34414f02a12e",
+    "tableau": "b1770817d83fc10867e9464f3e044bd10917f0eca01b553f3b2a90fc0266b5b9",
+}
+
+
+@pytest.mark.parametrize("obj", sorted(ENUMERATE_N4_SHA256))
+def test_enumerate_n4_output_is_pinned(capsys, obj):
+    assert run(["enumerate", "--object", obj, "--n", "4"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == ENUMERATE_N4_SHA256[obj]
+
+
 # SHA-256 of `pasep special --what X --n 7`: pins every line of each table.
 SPECIAL_N7_SHA256 = {
     "q-eulerian": "868e0f46c14aae84273d33d84ea4b7a706159a3b5ec4c1cc8c051928aed3f4d1",
@@ -173,6 +190,50 @@ def test_verify_symmetry(capsys):
     assert run(["verify", "--suite", "symmetry", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+
+
+def _choices(command: str, dest: str) -> list[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return list(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_choices_follow_the_route_and_suite_tables():
+    assert _choices("zn", "method") == sorted(pasep.METHODS)
+    assert _choices("verify", "suite") == sorted(verify.SUITES)
+
+
+COLD_START = """
+import json, sys
+import pasep.cli
+from contextlib import redirect_stdout
+from io import StringIO
+WATCHED = ("pasep.verify", "pasep.bijections", "dataclasses")
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(StringIO()):
+        assert pasep.cli.run(argv) == 0, argv
+    loaded.append([m for m in WATCHED if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_zn_jobs_load_neither_verify_nor_bijections():
+    fast = ["closed", "matrix", "normal", "hatted", "paths"]
+    jobs = [["zn", "--n", "3", "--method", m] for m in fast]
+    jobs.append(["verify", "--suite", "symmetry", "--max-n", "1"])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(jobs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded[:-1] == [[]] * len(fast)
+    assert loaded[-1] == ["pasep.verify", "pasep.bijections"]
 
 
 def test_partition_tables_script_runs():

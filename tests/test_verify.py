@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import pasep
 import pasep.verify as verify
 from pasep.paths import DOWN
 from pasep.polyring import ONE, Y, canonical_string
@@ -24,6 +25,19 @@ def test_check_eq_records_rendered_detail_only_on_failure(monkeypatch):
     assert rep.checks == ["equal", "differ"]
     assert rep.failures == [("differ", "got y^2 + 1 want y")]
     assert not rep.ok
+
+
+def test_verify_and_the_cli_share_one_route_table():
+    assert pasep.METHODS is verify.METHODS
+    assert len(pasep.METHODS) == 9
+
+
+def test_zn_checks_its_input():
+    assert canonical_string(pasep.zn(1, "paths")) == verify.GOLDEN[1]
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        pasep.zn(-1, "closed")
+    with pytest.raises(ValueError, match="unknown method"):
+        pasep.zn(2, "nope")
 
 
 # SHA-256 of the newline-joined check names of `verify --suite all --max-n 5`,
