@@ -18,19 +18,36 @@ Independently of any representation, the normal ordering of (yD + E)^N in
 the free algebra gives coefficients c[N][i, j] with
 (yD+E)^N = sum c[N][i,j] E^i D^j, built from c[N-1] by right multiplication
 with yD + E under D E = q E D + D + E alone; the partition function is
-obtained by replacing E^i D^j with a^i b^j.  A second, rook-placement
-flavored route normal orders (qy Dh + q Eh)^k for the shifted operators
-Dh = ((q-1) D + I)/q, Eh = ((q-1) E + I)/q whose coefficients d[k][i, j]
-satisfy a three-term recurrence solved by q-binomial times the
-ballot-difference kernel M.  That route sums monomials in at and y bt, so
-it works in the shifted basis and leaves it through polyring.from_shifted;
-the matrices above expand at and bt in a, b and q.
+obtained by replacing E^i D^j with a^i b^j.  Read as D E = E (qD + 1) + D,
+the relation moves E left past one D at a time, so a row sum_j c[i,j] D^j
+times yD + E is taken by Horner's rule from its top j down.
+
+Each c[n][i, j] is a polynomial in y and q with non-negative integer
+coefficients, held packed in one int (Kronecker substitution): the
+coefficient of y^ey q^eq sits at bit S (ey W + eq), so multiplying by q is a
+shift by S and by y a shift by S W.  Nothing is ever subtracted, so every
+slot of every intermediate is at most a coefficient of some c[n], n <= N,
+and its monomial is one of c[n]'s.  Hence the slots never spill into each
+other, with S the first multiple of 8 above the bit length of (N+1)! (the
+coefficients of c[n] add up to Z(n) at y = q = a = b = 1, which is (n+1)!)
+and W = floor(N^2/4) + 2: each q records one D before E pair swapped, the
+other two terms drop a letter, and a word of N letters has at most
+floor(N^2/4) such pairs.  Each slot is read back once, from the bytes of
+the int.
+
+A second, rook-placement flavored route normal orders (qy Dh + q Eh)^k for
+the shifted operators Dh = ((q-1) D + I)/q, Eh = ((q-1) E + I)/q whose
+coefficients d[k][i, j] satisfy a three-term recurrence solved by
+q-binomial times the ballot-difference kernel M.  That route sums monomials
+in at and y bt, so it works in the shifted basis and leaves it through
+polyring.from_shifted; the matrices above expand at and bt in a, b and q.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from itertools import zip_longest
+from math import factorial
 
 from .paths import StepWeights, motzkin_sum
 from .polyring import (
@@ -38,7 +55,6 @@ from .polyring import (
     BETA_TILDE,
     MPoly,
     ONE,
-    Q,
     Y,
     ZERO,
     exact_div_pow_one_minus_q,
@@ -91,75 +107,54 @@ def state_weight(word: str) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-# Each recurrence below keeps every term it has built in a list and extends
-# it from the last one, so a large index costs no recursion depth.
-
 Coeffs = dict[tuple[int, int], MPoly]  # (i, j) -> coefficient of E^i D^j
 
 
-def _extend(built: list[Coeffs], k: int, step: Callable[[Coeffs, int], Coeffs]) -> Coeffs:
-    """built[k], after appending step(built[m - 1], m) for m = len(built) .. k."""
-    while len(built) <= k:
-        built.append(step(built[-1], len(built)))
-    return built[k]
-
-
-def _d_power_e_step(prev: Coeffs, j: int) -> Coeffs:
-    out = {(0, j): ONE}
-    for (i, k), c in prev.items():
-        out[(i, k + 1)] = out.get((i, k + 1), ZERO) + Q * c
-        out[(i, k)] = out.get((i, k), ZERO) + c
-    return out
-
-
-_D_POWER_E: list[Coeffs] = [{(1, 0): ONE}]
-
-
-def _d_power_e(j: int) -> Coeffs:
-    """Normal form of D^j E as a map (i, k) -> coefficient of E^i D^k.
-
-    D^j E = D^(j-1) (q E D + D + E) = q (D^(j-1) E) D + D^j + D^(j-1) E, so
-    every term is E D^k or D^k and the coefficients are polynomials in q.
-    """
-    return _extend(_D_POWER_E, j, _d_power_e_step)
-
-
-def _normal_order_step(prev: Coeffs, N: int) -> Coeffs:
-    out: Coeffs = {}
-
-    def add(key, val):
-        out[key] = out.get(key, ZERO) + val
-
-    for (i, j), c in prev.items():
-        add((i, j + 1), Y * c)
-        for (a, k), f in _d_power_e(j).items():
-            add((i + a, k), f * c)
-    return out
-
-
-_NORMAL_ORDER: list[Coeffs] = [{(0, 0): ONE}]
+def _unpack(packed: int, nb: int, W: int) -> MPoly:
+    # slot (ey, eq) starts at byte nb (ey W + eq); the empty q slots at the
+    # ends of each y row are stripped, not read
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    terms = {}
+    for ey, start in enumerate(range(0, len(raw), nb * W)):
+        row = raw[start : start + nb * W].rstrip(b"\0")
+        for s in range((len(row) - len(row.lstrip(b"\0"))) // nb * nb, len(row), nb):
+            terms[ey, s // nb, 0, 0] = int.from_bytes(row[s : s + nb], "little")
+    return MPoly(terms)
 
 
 def normal_order(N: int) -> Coeffs:
     """Coefficients c[N][i, j] of (yD + E)^N = sum c E^i D^j.
 
-    Computed over the free algebra by right multiplication,
-    E^i D^j (yD + E) = y E^i D^(j+1) + E^i (D^j E), with D^j E normal
-    ordered by _d_power_e; the coefficients are polynomials in y and q with
-    non-negative integer coefficients.
+    Computed over the free algebra by right multiplication with yD + E, in
+    the packed layout of the module docstring; the coefficients are
+    polynomials in y and q with non-negative integer coefficients.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    return _extend(_NORMAL_ORDER, N, _normal_order_step)
+    nb, W = factorial(N + 1).bit_length() // 8 + 1, N * N // 4 + 2  # bytes a slot, slots a y row
+    S = 8 * nb
+    rows = [[1]]  # rows[i][j] = c[n][i, j], packed
+    for _ in range(N):
+        out, carry = [], []
+        for row in rows:
+            # row (yD + E) = E e + d for polynomials e, d in D, by Horner from
+            # the top j: if H (yD + E) = E e + d, then by D E = E (qD + 1) + D
+            # (c + D H)(yD + E) = E (c + (qD + 1) e) + D (yc + e + d); d[0] = 0
+            e, d = [row[-1]], [0, row[-1] << S * W]
+            for c in row[-2::-1]:
+                d = [0, (c << S * W) + e[0], *(a + b for a, b in zip(e[1:], d[1:])), d[-1]]
+                e = [c + e[0], *(a + (b << S) for a, b in zip(e[1:], e)), e[-1] << S]
+            out.append([a + b for a, b in zip_longest(carry, d, fillvalue=0)])
+            carry = e
+        rows = [*out, carry]
+    return {(i, j): _unpack(c, nb, W) for i, row in enumerate(rows) for j, c in enumerate(row) if c}
 
 
 @lru_cache(maxsize=None)
 def zn_normal(N: int) -> MPoly:
     """Partition function assembled from the normal form: sum c[i,j] a^i b^j."""
-    acc = ZERO
-    for (i, j), c in normal_order(N).items():
-        acc = acc + c * monomial(1, ea=i, eb=j)
-    return acc
+    return MPoly({(ey, eq, i, j): v for (i, j), c in normal_order(N).items()
+                  for (ey, eq, _, _), v in c.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +162,7 @@ def zn_normal(N: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-def _hatted_step(prev: Coeffs, k: int) -> Coeffs:
+def _hatted_step(prev: Coeffs) -> Coeffs:
     out: Coeffs = {}
 
     def add(key, val):
@@ -190,7 +185,11 @@ def hatted_coeffs(k: int) -> Coeffs:
     from d[0] = {(0,0): 1}."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _extend(_HATTED, k, _hatted_step)
+    # every d[k] built so far stays in _HATTED, extended from the last one,
+    # so a large k costs no recursion depth
+    while len(_HATTED) <= k:
+        _HATTED.append(_hatted_step(_HATTED[-1]))
+    return _HATTED[k]
 
 
 def hatted_closed_form(k: int, i: int, j: int) -> MPoly:

@@ -80,6 +80,11 @@ class PermutationTableau(_Tableau):
             left |= mask
         return super().__new__(cls, rows, cols)
 
+    @classmethod
+    def _make(cls, iterable) -> "PermutationTableau":
+        # the inherited _make, which _replace calls too, skips __new__
+        return cls(*iterable)
+
     @property
     def fill(self) -> tuple[tuple[int, ...], ...]:
         """The 0/1 rows, top to bottom."""

@@ -1,3 +1,4 @@
+import math
 import sys
 from itertools import product
 
@@ -86,12 +87,48 @@ def test_normal_order_base():
     }
 
 
-def test_normal_order_nonnegative_and_assembles():
+def _normal_order_by_rewriting(N):
+    """c[N] by brute force: expand (yD + E)^N into words, then rewrite the
+    first D E of a word as q E D + D + E until every word reads E^i D^j."""
+    words = {"": ONE}
+    for _ in range(N):
+        nxt = {}
+        for w, c in words.items():
+            for letter, f in (("D", Y), ("E", ONE)):
+                nxt[w + letter] = nxt.get(w + letter, ZERO) + f * c
+        words = nxt
+    done = {}
+    while words:
+        w, c = words.popitem()
+        k = w.find("DE")
+        if k < 0:
+            key = (w.count("E"), w.count("D"))
+            done[key] = done.get(key, ZERO) + c
+            continue
+        head, tail = w[:k], w[k + 2 :]
+        for v, f in ((head + "ED" + tail, Q), (head + "D" + tail, ONE), (head + "E" + tail, ONE)):
+            words[v] = words.get(v, ZERO) + f * c
+    return done
+
+
+def test_normal_order_matches_rewriting():
     for N in range(7):
-        coeffs = normal_order(N)
-        for (i, j), poly in coeffs.items():
-            assert all(c > 0 for _, c in poly.items()), (N, i, j)
-        assert zn_normal(N) == zn_closed(N)
+        assert normal_order(N) == _normal_order_by_rewriting(N), N
+
+
+def test_normal_order_nonnegative_and_assembles():
+    # the packed layout of normal_order rests on these: every coefficient
+    # is positive, all of them add up to (N+1)!, the q-degree is
+    # floor(N^2/4) and the y-degree N
+    for N in range(16):
+        terms = [(e, v) for poly in normal_order(N).values() for e, v in poly.items()]
+        assert all(v > 0 for _, v in terms), N
+        assert sum(v for _, v in terms) == math.factorial(N + 1), N
+        if N <= 12:
+            assert max(e[1] for e, _ in terms) == N * N // 4, N
+            assert max(e[0] for e, _ in terms) == N, N
+        if N <= 6:
+            assert zn_normal(N) == zn_closed(N)
 
 
 def test_hatted_base_cases():
@@ -117,12 +154,12 @@ def _frame_depth() -> int:
 
 
 def test_recurrences_build_without_recursion(monkeypatch):
-    # From empty caches, c[12] and d[12] are built with only 16 frames to
-    # spare above this test; a build that recursed once per index (12 levels
-    # through the cache, then the ring operations) would need about 28.
+    # c[12], which normal_order builds from c[0] on every call, and d[12],
+    # from an emptied _HATTED, are built with only 16 frames to spare above
+    # this test; a build that recursed once per index (12 levels through the
+    # cache, then the ring operations) would need about 28.
     want = normal_order(12), hatted_coeffs(12)
-    for name in ("_NORMAL_ORDER", "_HATTED", "_D_POWER_E"):
-        monkeypatch.setattr(ansatz, name, getattr(ansatz, name)[:1])
+    monkeypatch.setattr(ansatz, "_HATTED", ansatz._HATTED[:1])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 16)
     try:
@@ -130,7 +167,7 @@ def test_recurrences_build_without_recursion(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
-    assert len(ansatz._NORMAL_ORDER) == len(ansatz._HATTED) == 13
+    assert len(ansatz._HATTED) == 13
 
 
 def test_zn_hatted_matches():
@@ -140,7 +177,7 @@ def test_zn_hatted_matches():
 
 def test_shifted_routes_match_normal():
     # normal never enters the shifted basis, so it checks from_shifted
-    assert zn_closed(11) == zn_hatted(11) == zn_normal(11)
+    assert zn_closed(14) == zn_hatted(14) == zn_normal(14)
 
 
 def test_state_weights():

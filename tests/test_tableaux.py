@@ -62,6 +62,18 @@ def test_invalid_tableaux_rejected():
     ]:
         with pytest.raises(ValueError):
             PermutationTableau(rows, cols)
+        # the namedtuple constructors run the same checks
+        with pytest.raises(ValueError):
+            PermutationTableau._make((rows, cols))
+        with pytest.raises(ValueError):
+            PermutationTableau((1,), (1,))._replace(rows=rows, cols=cols)
+
+
+def test_namedtuple_constructors_keep_the_type():
+    t = PermutationTableau((2, 1), (3, 1))
+    other = PermutationTableau((2,), (1, 1))
+    for got in (PermutationTableau._make(t), t._replace(), other._replace(rows=(2, 1), cols=(3, 1))):
+        assert type(got) is PermutationTableau and got == t
 
 
 def _oracle(rows, fill):
