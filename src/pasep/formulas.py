@@ -207,10 +207,13 @@ def mu_from_Z(N: int) -> MPoly:
         q_pow.append(q_pow[-1] * (ONE - Q))
     acc = ZERO
     for k in range(N + 1):
-        zk = substitute(zn_closed(k), "y", ONE)
+        # the q-polynomial of each a^i b^j in Z(k) at y = 1, rewritten once
+        groups: dict[tuple[int, int], dict] = {}
+        for (_, eq, ea, eb), c in substitute(zn_closed(k), "y", ONE).items():
+            groups.setdefault((ea, eb), {})[(0, eq, 0, 0)] = c
         rewritten = ZERO
-        for (ey, eq, ea, eb), c in zk.items():
-            rewritten = rewritten + monomial(c, eq=eq) * a_pow[ea] * b_pow[eb] * q_pow[k - ea - eb]
+        for (ea, eb), qpoly in groups.items():
+            rewritten = rewritten + MPoly(qpoly) * q_pow[k - ea - eb] * a_pow[ea] * b_pow[eb]
         sign = -1 if (N - k) % 2 else 1
         acc = acc + sign * binomial(N, k) * (2 ** (N - k)) * rewritten
     return acc
@@ -223,6 +226,11 @@ def stanton_moment_eval(N: int, a, b, q) -> Fraction:
             q^(-j^2) a^(-2j) (q^j a + q^-j a^-1)^N
             / ((q; q)_j (a^-2 q^(1-2j); q)_j (q; q)_(k-j) (a^2 q^(1+2j); q)_(k-j)).
 
+    With a = an/ad and q = qn/qd, every factor is an unreduced integer pair
+    (numerator, denominator); the sum is taken over their product as the
+    common denominator and reduced once, at the end.  The j-th summand
+    numerator is (q^(2j) a^2 + 1)^N / (q^(j^2 + jN) a^(2j + N)).
+
     Raises SingularPoint when a = 0, q = 0 or any denominator factor
     vanishes; callers resample.
     """
@@ -231,23 +239,36 @@ def stanton_moment_eval(N: int, a, b, q) -> Fraction:
     a, b, q = Fraction(a), Fraction(b), Fraction(q)
     if a == 0 or q == 0:
         raise SingularPoint("a = 0 or q = 0")
-    total = Fraction(0)
+    an, ad = a.numerator, a.denominator
+    qn, qd = q.numerator, q.denominator
+    a2n, a2d = an * an, ad * ad
+    qq = [q_pochhammer_eval(qn, qd, qn, qd, m) for m in range(N + 1)]  # (q; q)_m
+    # per j: (a^-2 q^(1-2j); q)_j and the j-th summand numerator, both free of k
+    low, numer = [], []
+    for j in range(N + 1):
+        q2n, q2d = qn ** (2 * j), qd ** (2 * j)
+        low.append(q_pochhammer_eval(a2d * qn * q2d, a2n * qd * q2n, qn, qd, j))
+        numer.append((
+            qd ** (j * j) * ad ** (2 * j) * (q2n * a2n + q2d * a2d) ** N,
+            qn ** (j * j) * an ** (2 * j) * (qn * qd) ** (j * N) * (an * ad) ** N,
+        ))
+    abn, abd = an * b.numerator, ad * b.denominator
+    tn, td = 0, 1
     for k in range(N + 1):
-        abk = q_pochhammer_eval(a * b, q, k)
-        inner = Fraction(0)
+        pn, pd = q_pochhammer_eval(abn, abd, qn, qd, k)
+        sn, sd = 0, 1
         for j in range(k + 1):
-            denom = (
-                q_pochhammer_eval(q, q, j)
-                * q_pochhammer_eval(a**-2 * q ** (1 - 2 * j), q, j)
-                * q_pochhammer_eval(q, q, k - j)
-                * q_pochhammer_eval(a**2 * q ** (1 + 2 * j), q, k - j)
-            )
-            if denom == 0:
+            hn, hd = q_pochhammer_eval(a2n * qn ** (2 * j + 1), a2d * qd ** (2 * j + 1), qn, qd, k - j)
+            dn = qq[j][0] * low[j][0] * qq[k - j][0] * hn
+            if dn == 0:
                 raise SingularPoint(f"denominator vanishes at k={k}, j={j}")
-            num = q ** (-j * j) * a ** (-2 * j) * (q**j * a + q ** (-j) / a) ** N
-            inner += num / denom
-        total += abk * q**k * inner
-    return total / 2**N
+            dd = qq[j][1] * low[j][1] * qq[k - j][1] * hd
+            un, ud = numer[j][0] * dd, numer[j][1] * dn
+            sn, sd = sn * ud + un * sd, sd * ud
+        pn *= qn**k * sn
+        pd *= qd**k * sd
+        tn, td = tn * pd + pn * td, td * pd
+    return Fraction(tn, td * 2**N)
 
 
 # ---------------------------------------------------------------------------

@@ -294,24 +294,35 @@ def exact_div_var(p: MPoly, var: str, n: int = 1) -> MPoly:
 
 
 def eval_rational(p: MPoly, a, b, y, q) -> Fraction:
-    """Exact evaluation at a rational point."""
-    a, b, y, q = Fraction(a), Fraction(b), Fraction(y), Fraction(q)
-    total = Fraction(0)
+    """Exact evaluation at a rational point, over one common denominator.
+
+    Each coordinate x = n/d (d > 0) with top exponent t in p gives the
+    integers n^e d^(t-e), for the exponents e of x that occur in p, so
+    every term is an integer over the one denominator
+    d_y^t_y d_q^t_q d_a^t_a d_b^t_b; the sum is taken in integers and
+    reduced once.  0^0 = 1, as for Fraction.
+    """
+    point = [Fraction(v) for v in (y, q, a, b)]
+    if not p._t:
+        return Fraction(0)
+    tables = []
+    den = 1
+    for i, x in enumerate(point):
+        present = {e[i] for e in p._t}
+        top = max(present)
+        n, d = x.numerator, x.denominator
+        tables.append({e: n**e * d ** (top - e) for e in present})
+        den *= d**top
+    ty, tq, ta, tb = tables
+    num = 0
     for (ey, eq, ea, eb), c in p._t.items():
-        total += c * y**ey * q**eq * a**ea * b**eb
-    return total
+        num += c * ty[ey] * tq[eq] * ta[ea] * tb[eb]
+    return Fraction(num, den)
 
 
-def _term_body(c: int, exp: Exponent) -> str:
-    factors = []
-    if c != 1 or all(e == 0 for e in exp):
-        factors.append(str(c))
-    for name, e in zip(VARS, exp):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
+def _factor_table(name: str, top: int) -> list[str]:
+    """The "*name^e" factor strings for e = 0..top, with "" at e = 0."""
+    return ["", f"*{name}", *(f"*{name}^{e}" for e in range(2, top + 1))]
 
 
 def canonical_string(p: MPoly) -> str:
@@ -321,16 +332,27 @@ def canonical_string(p: MPoly) -> str:
     omitted; this string is the interchange format of the CLI and the golden
     tests, and parse_poly inverts it exactly.
     """
-    if not p._t:
+    t = p._t
+    if not t:
         return "0"
+    exps = sorted(t, reverse=True)
+    ty, tq, ta, tb = (_factor_table(name, max(e[i] for e in exps)) for i, name in enumerate(VARS))
     parts = []
-    for exp in sorted(p._t, reverse=True):
-        c = p._t[exp]
-        body = _term_body(abs(c), exp)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
+    for exp in exps:
+        c = t[exp]
+        ey, eq, ea, eb = exp
+        body = ty[ey] + tq[eq] + ta[ea] + tb[eb]
+        mag = -c if c < 0 else c
+        if mag != 1:
+            body = str(mag) + body
+        elif body:
+            body = body[1:]
         else:
+            body = "1"
+        if parts:
             parts.append((" + " if c > 0 else " - ") + body)
+        else:
+            parts.append(body if c > 0 else "-" + body)
     return "".join(parts)
 
 

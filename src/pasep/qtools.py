@@ -1,17 +1,16 @@
 """q-calculus and binomial building blocks.
 
-Small, heavily reused primitives: q-integers, Gaussian binomials, rational
-q-Pochhammer evaluation, ordinary binomials with the out-of-range-zero
-convention and weighted lattice-prefix counting polynomials.  Every closed
-formula is built from the three kernels defined only here: the ballot
-difference `ballot`, the alternating q-binomial sum `q_ballot_sum` (of which
-the hatted normal ordering's M(l, k) is one instance) and the homogeneous
-Rogers-Szego polynomial `rogers_szego`.
+Small, heavily reused primitives: q-integers, Gaussian binomials, q-Pochhammer
+evaluation on integer numerator/denominator pairs, ordinary binomials with
+the out-of-range-zero convention and weighted lattice-prefix counting
+polynomials.  Every closed formula is built from the three kernels defined
+only here: the ballot difference `ballot`, the alternating q-binomial sum
+`q_ballot_sum` (of which the hatted normal ordering's M(l, k) is one
+instance) and the homogeneous Rogers-Szego polynomial `rogers_szego`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterable
@@ -71,15 +70,20 @@ def rogers_szego(n: int, x: MPoly, z: MPoly) -> MPoly:
     return acc
 
 
-def q_pochhammer_eval(x: Fraction, q: Fraction, k: int) -> Fraction:
-    """(x; q)_k = prod_{i<k} (1 - x q^i) at a rational point; empty product 1."""
-    x, q = Fraction(x), Fraction(q)
-    out = Fraction(1)
-    power = Fraction(1)
+def q_pochhammer_eval(xn: int, xd: int, qn: int, qd: int, k: int) -> tuple[int, int]:
+    """(x; q)_k = prod_{i<k} (1 - x q^i) at x = xn/xd, q = qn/qd, as the
+    unreduced integer pair (prod_{i<k} (xd qd^i - xn qn^i), xd^k qd^C(k,2)).
+
+    The empty product is (1, 1).  The numerator is 0 exactly when some
+    factor vanishes, since the denominator is never 0 for xd, qd != 0.
+    """
+    num = 1
+    pn = pd = 1
     for _ in range(k):
-        out *= 1 - x * power
-        power *= q
-    return out
+        num *= xd * pd - xn * pn
+        pn *= qn
+        pd *= qd
+    return num, xd**k * qd ** (k * (k - 1) // 2)
 
 
 def motzkin_prefix_gf(N: int, h: int) -> MPoly:

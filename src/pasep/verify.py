@@ -147,6 +147,21 @@ def _type_steps(history: tuple[paths.LaguerreStep, ...]) -> tuple[set[int], set[
     )
 
 
+_DIRECTION = {paths.UP: 0, paths.LEVEL: 1, paths.DOWN: 2}
+
+
+def _history_code(history: tuple[paths.LaguerreStep, ...], n: int) -> int:
+    """One exact int per history: after a leading 1, the base-6(n+1) digits
+    (direction * 2 + delta) * (n + 1) + j, one per step.  Distinct histories
+    get distinct codes whenever every delta is 0 or 1 and 0 <= j <= n, as in
+    every Laguerre history of at most n steps."""
+    base = 6 * (n + 1)
+    code = 1
+    for d, delta, j in history:
+        code = code * base + (_DIRECTION[d] * 2 + delta) * (n + 1) + j
+    return code
+
+
 def _inverts(inverse: Callable[[tuple], perms.Perm], history: tuple, sigma: perms.Perm) -> bool:
     """inverse(history) == sigma, and False when inverse rejects history."""
     try:
@@ -165,16 +180,16 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
         fz_ok = fv_ok = True
         fz_wt = fv_wt = True
         lem1 = lem2 = lem3 = lem4 = lem5 = True
-        seen_fz: set = set()
-        seen_fv: set = set()
+        seen_fz: set[int] = set()  # _history_codes: ints, far smaller than the histories
+        seen_fv: set[int] = set()
         pending = {}  # sigma -> ((u, wex, v, cr), (u', wex, v, cr)) until tilde(sigma) comes
         for sigma in perms.enumerate_permutations(n):
             st = perms.stats(sigma)
             u_prime_form[st.wex - 1, st.cr, st.u_prime, st.v] += 1
             hz = bijections.foata_zeilberger(sigma)
             hv = bijections.francon_viennot(sigma)
-            seen_fz.add(hz)
-            seen_fv.add(hv)
+            seen_fz.add(_history_code(hz, n))
+            seen_fv.add(_history_code(hv, n))
             if not _inverts(bijections.foata_zeilberger_inverse, hz, sigma):
                 fz_ok = False
             if not _inverts(bijections.francon_viennot_inverse, hv, sigma):

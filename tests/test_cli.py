@@ -50,6 +50,24 @@ def test_zn_eval(capsys):
     assert capsys.readouterr().out.strip() == "5/6"
 
 
+# Z(N) at a point with a negative and a zero coordinate, by every route:
+# (N, point) -> the printed value
+EVAL_PINS = {
+    (5, "a=-2/3,b=5/7,y=0,q=-1/3"): "-32/243",
+    (5, "a=0,b=-3,y=3/2,q=2"): "22131/32",
+    (12, "a=-2/3,b=5/7,y=0,q=-1/3"): "4096/531441",
+    (12, "a=0,b=-3,y=3/2,q=2"): "-291496186366223643/4096",
+}
+
+
+@pytest.mark.parametrize("n, point", sorted(EVAL_PINS))
+def test_zn_eval_is_pinned_on_every_route(capsys, n, point):
+    methods = verify.METHODS if n <= 9 else (*verify.FAST_METHODS, "paths")
+    for method in methods:
+        assert run(["zn", "--n", str(n), "--method", method, "--eval", point]) == 0
+        assert capsys.readouterr().out == EVAL_PINS[n, point] + "\n", method
+
+
 @pytest.mark.parametrize(
     "argv",
     [

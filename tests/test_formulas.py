@@ -50,6 +50,7 @@ from pasep.polyring import (
     y_reflect,
 )
 from pasep.qtools import binomial, rogers_szego, touchard_M
+from pasep.verify import MOMENT_POINTS, MOMENT_SEED
 
 GOLDEN = {
     0: "1",
@@ -174,6 +175,66 @@ def test_stanton_point_evaluations():
             want = eval_rational(asc_mom_closed(N), a=a, b=b, y=1, q=q) / 2**N
             assert got == want
             done += 1
+
+
+def _pochhammer_reference(x, q, k):
+    out = Fraction(1)
+    power = Fraction(1)
+    for _ in range(k):
+        out *= 1 - x * power
+        power *= q
+    return out
+
+
+def _stanton_reference(N, a, b, q):
+    """The moment sum in Fraction arithmetic, one reduced Fraction per factor."""
+    a, b, q = Fraction(a), Fraction(b), Fraction(q)
+    if a == 0 or q == 0:
+        raise SingularPoint("a = 0 or q = 0")
+    total = Fraction(0)
+    for k in range(N + 1):
+        abk = _pochhammer_reference(a * b, q, k)
+        inner = Fraction(0)
+        for j in range(k + 1):
+            denom = (
+                _pochhammer_reference(q, q, j)
+                * _pochhammer_reference(a**-2 * q ** (1 - 2 * j), q, j)
+                * _pochhammer_reference(q, q, k - j)
+                * _pochhammer_reference(a**2 * q ** (1 + 2 * j), q, k - j)
+            )
+            if denom == 0:
+                raise SingularPoint(f"denominator vanishes at k={k}, j={j}")
+            num = q ** (-j * j) * a ** (-2 * j) * (q**j * a + q ** (-j) / a) ** N
+            inner += num / denom
+        total += abk * q**k * inner
+    return total / 2**N
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularPoint as exc:
+        return ("SingularPoint", str(exc))
+
+
+def test_stanton_matches_the_fraction_reference_at_the_moment_points():
+    # the moment suite's seeded draw, including the points it skips before
+    # calling stanton_moment_eval (a = 0, q in {0, 1, -1})
+    rng = random.Random(MOMENT_SEED)
+    singular = 0
+    for N in range(7):
+        done = 0
+        while done < MOMENT_POINTS:
+            a = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            b = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            q = Fraction(rng.randint(-6, 6), rng.randint(2, 7))
+            got = _outcome(stanton_moment_eval, N, a, b, q)
+            assert got == _outcome(_stanton_reference, N, a, b, q), (N, a, b, q)
+            if isinstance(got, tuple):
+                singular += 1
+            elif a != 0 and q not in (0, 1, -1):
+                done += 1
+    assert singular  # a = 0, q = 0, q = +-1 and vanishing factors all occur
 
 
 def test_q_tangent_secant():

@@ -139,6 +139,30 @@ def test_eval_rational():
     assert eval_rational(A * B, a=Fraction(1, 2), b=Fraction(2, 3), y=0, q=0) == Fraction(1, 3)
 
 
+def _term_by_term(p, a, b, y, q):
+    a, b, y, q = Fraction(a), Fraction(b), Fraction(y), Fraction(q)
+    total = Fraction(0)
+    for (ey, eq, ea, eb), c in p.items():
+        total += c * y**ey * q**eq * a**ea * b**eb
+    return total
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, rationals, rationals, rationals, rationals)
+@example(ZERO, Fraction(1, 2), 3, 0, -1)
+@example(ONE + A, 2, 3, 0, 5)  # y = 0 against terms of y-degree 0: 0^0 = 1
+@example(3 * Y**2 - Y + 7, 0, 0, 0, 0)
+@example(Q**3 - 2 * A * B, Fraction(-2, 3), Fraction(-1, 5), Fraction(-3, 2), Fraction(-4, 7))
+@example(monomial(-3, ey=40, eb=2) + Y, Fraction(1, 2), Fraction(-2, 3), Fraction(1, 3), 0)
+def test_eval_rational_is_the_term_by_term_sum(p, a, b, y, q):
+    got = eval_rational(p, a=a, b=b, y=y, q=q)
+    assert isinstance(got, Fraction)
+    assert got == _term_by_term(p, a, b, y, q)
+
+
 def test_canonical_strings():
     assert canonical_string(ZERO) == "0"
     assert canonical_string(ONE) == "1"

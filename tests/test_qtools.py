@@ -41,9 +41,13 @@ def test_q_binomial_symmetry():
 
 
 def test_q_pochhammer():
-    assert q_pochhammer_eval(Fraction(3), Fraction(2), 0) == 1
-    assert q_pochhammer_eval(Fraction(1), Fraction(5, 7), 3) == 0
-    assert q_pochhammer_eval(Fraction(1, 2), Fraction(1, 3), 2) == Fraction(5, 12)
+    assert q_pochhammer_eval(3, 1, 2, 1, 0) == (1, 1)
+    assert q_pochhammer_eval(1, 1, 5, 7, 3)[0] == 0
+    # (1/2; 1/3)_2 = (1 - 1/2)(1 - 1/6), as the pair (1 * 5, 2^2 * 3)
+    assert q_pochhammer_eval(1, 2, 1, 3, 2) == (5, 12)
+    assert Fraction(*q_pochhammer_eval(-3, 4, -2, 5, 3)) == (
+        (1 - Fraction(-3, 4)) * (1 - Fraction(-3, 4) * Fraction(-2, 5)) * (1 - Fraction(-3, 4) * Fraction(4, 25))
+    )
 
 
 def test_binomial_conventions():

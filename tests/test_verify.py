@@ -4,7 +4,7 @@ import pytest
 
 import pasep
 import pasep.verify as verify
-from pasep.paths import DOWN
+from pasep.paths import DOWN, enumerate_laguerre
 from pasep.polyring import ONE, Y, canonical_string
 
 
@@ -73,3 +73,12 @@ def test_bad_history_image_fails_its_round_trip_check(monkeypatch, name):
     prefix = "FZ" if name == "foata_zeilberger" else "FV"
     assert {f"{prefix} round trip and validity, n={n}" for n in (1, 2)} <= failed
     assert f"{prefix} round trip and validity, n=0" not in failed
+
+
+def test_history_code_is_injective_on_laguerre_histories():
+    # the bijection suite counts distinct histories by their codes, so the
+    # code must separate every two histories of at most n steps
+    for n in range(7):
+        histories = [h for m in range(n + 1) for h in enumerate_laguerre(m)]
+        assert len(set(histories)) == len(histories)
+        assert len({verify._history_code(h, n) for h in histories}) == len(histories)
