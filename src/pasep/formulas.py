@@ -73,7 +73,6 @@ def R_formula(N: int, n: int) -> MPoly:
     return q_ballot_sum(n, weights)
 
 
-@lru_cache(maxsize=None)
 def R_y1(N: int, n: int) -> MPoly:
     """The y=1 collapse: sum_i (-1)^i (C(2N,N-n-2i) - C(2N,N-n-2i-2))
     q^C(i+1,2) [n+i, i]_q."""
@@ -83,7 +82,6 @@ def R_y1(N: int, n: int) -> MPoly:
     return q_ballot_sum(n, diffs)
 
 
-@lru_cache(maxsize=None)
 def B_formula(n: int) -> MPoly:
     """B(n) = sum_k [n, k]_q at^k (y bt)^(n-k), expanded in a, b, y, q."""
     if n < 0:
@@ -105,7 +103,6 @@ def zn_closed(N: int) -> MPoly:
     return from_shifted(acc, N)
 
 
-@lru_cache(maxsize=None)
 def zn_cas1(N: int) -> MPoly:
     """The a = b = 1 specialization from the printed triple sum.
 
@@ -126,7 +123,6 @@ def zn_cas1(N: int) -> MPoly:
     return exact_div_var(exact_div_pow_one_minus_q(acc, N + 1), "y", 1)
 
 
-@lru_cache(maxsize=None)
 def zn_product_y1q1(N: int) -> MPoly:
     """The y = q = 1 evaluation: rising product of (a + b + i) over i < N."""
     if N < 0:
@@ -143,7 +139,6 @@ def zn_product_y1q1(N: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def asc_mom_closed(N: int) -> MPoly:
     """2^N times the N-th Al-Salam-Chihara moment, as a polynomial in a, b, q.
 
@@ -185,7 +180,6 @@ QSECANT = StepWeights(up=lambda h: ONE, level=None, down=lambda h: q_int(h) * q_
 QTANGENT = StepWeights(up=lambda h: ONE, level=None, down=lambda h: q_int(h) * q_int(h + 1))
 
 
-@lru_cache(maxsize=None)
 def mu_from_Z(N: int) -> MPoly:
     """2^N times the ASC moment via the binomial transform of Z(k) at y = 1.
 
@@ -276,7 +270,6 @@ def stanton_moment_eval(N: int, a, b, q) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def q_tangent_secant(n: int) -> MPoly:
     """E_n(q) by the ballot-type closed formulas, n = 2t + odd:
 
@@ -381,7 +374,6 @@ def catalan_number(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def fine_from_Z(N: int) -> MPoly:
     """F_N(y) as the q = 0, b = 1, a = -y specialization of Z(N)."""
     z = substitute(zn_closed(N), "q", ZERO)

@@ -29,24 +29,24 @@ Three layers live here:
   any other family name is a ValueError.
 
 * Plain Dyck paths with returns/peaks statistics, Fine paths, and the
-  q=0 Dyck-pair evaluation of the partition function.  fine_poly_paths
-  never builds a whole path: it scans each half that motzkin_walks would
-  join once, counts the halves by junction height, peaks and junction
-  step, and joins those counts height by height, adding the peak (or
-  dropping the hill) made at the junction; is_fine and peaks stay the
-  definitions.
+  q=0 Dyck-pair evaluation of the partition function.  Returns are a step
+  weight (a on each down step that lands at 0), so dyck_pair_sum_q0 is one
+  motzkin_sum per length.  A peak spans two steps, so fine_poly_paths keys
+  each prefix by its last step as well as its height, and never takes a
+  peak that lands at 0 (a hill); is_fine and peaks stay the definitions.
 
 Every transfer operator (families P, R, B and their cardinalities,
 J-fraction recurrences, the matrices of the ansatz module) is one
 StepWeights: its up, level and down weights as functions of the height.
-Every weighted sum is one call of motzkin_sum, a height-indexed dynamic
-program over Motzkin paths that drops every height above the number of
-steps left.  Every explicit path (Laguerre histories, families P/R*/B*,
-Dyck and bicolor paths) is enumerated by motzkin_walks with the same
-pruning, which joins each listed prefix of the first half of the steps to
-each listed suffix of the second half, and histories, family paths and
-bicolor paths are checked by is_motzkin_walk; both read the steps allowed
-at each height from one options function per kind of path.
+Every sum of products of step weights is one call of motzkin_sum, a
+height-indexed dynamic program over Motzkin paths that drops every height
+above the number of steps left; fine_poly_paths is the same pass with the
+last step in its key.  Every explicit path (Laguerre histories, families
+P/R*/B*, Dyck and bicolor paths) is enumerated by motzkin_walks with the
+same pruning, which joins each listed prefix of the first half of the
+steps to each listed suffix of the second half, and histories, family
+paths and bicolor paths are checked by is_motzkin_walk; both read the
+steps allowed at each height from one options function per kind of path.
 """
 
 from __future__ import annotations
@@ -371,31 +371,24 @@ def motzkin_walks(N: int, options: Options) -> Iterator[tuple]:
     return _join_halves(N, options)
 
 
-def _halves(N: int, options: Options) -> tuple[list[tuple[tuple, int]], list[list[tuple]]]:
-    """The two halves that motzkin_walks joins: every (prefix, end height) of
-    the first N - N // 2 steps, and suffixes[h], every path of the last
-    N // 2 steps from height h back to 0, each list in depth-first order."""
+def _join_halves(N: int, options: Options) -> Iterator[tuple]:
     half = N // 2
     # table[h]: (label, height after the step) for each step from h that stays >= 0
     table = [[(label, h + dh) for label, dh in options(h) if h + dh >= 0] for h in range(half + 1)]
-    # suffixes[h]: the s-step paths from h back to 0, built up from s = 0 to
-    # half; a path of s steps starts no higher than s
+    # suffixes[h]: the s-step paths from h back to 0 in depth-first order,
+    # built up from s = 0 to half; a path of s steps starts no higher than s
     suffixes = [[()]]
     for s in range(1, half + 1):
         suffixes = [
             [(label, *t) for label, g in table[h] if g < s for t in suffixes[g]]
             for h in range(s + 1)
         ]
-    # (prefix, end height), extended one step at a time; left counts the
-    # steps after the one taken, so every prefix ends at most half high
+    # (prefix, end height) of the first N - half steps, extended one step at
+    # a time; left counts the steps after the one taken, so every prefix
+    # ends at most half high
     prefixes = [((), 0)]
     for left in range(N - 1, half - 1, -1):
         prefixes = [((*p, label), g) for p, h in prefixes for label, g in table[h] if g <= left]
-    return prefixes, suffixes
-
-
-def _join_halves(N: int, options: Options) -> Iterator[tuple]:
-    prefixes, suffixes = _halves(N, options)
     for p, h in prefixes:
         for t in suffixes[h]:
             yield p + t
@@ -436,7 +429,6 @@ def _family_steps(family: str, weigh: Callable[[tuple, int], MPoly]) -> StepWeig
     return StepWeights(direction(UP), direction(LEVEL), direction(DOWN))
 
 
-@lru_cache(maxsize=None)
 def sum_R(N: int, n: int) -> MPoly:
     """Sum of weights over the R (equivalently R*) family."""
     if not 0 <= n <= N:
@@ -445,7 +437,6 @@ def sum_R(N: int, n: int) -> MPoly:
     return coeff_of(motzkin_sum(N, lambda k: steps), "a", n)
 
 
-@lru_cache(maxsize=None)
 def sum_B(n: int) -> MPoly:
     """Sum of weights over the B (equivalently B*) family."""
     steps = _family_steps("B", step_weight)
@@ -528,65 +519,33 @@ def is_fine(steps: tuple[str, ...]) -> bool:
     return True
 
 
-def _fine_peaks(steps: tuple[str, ...], h: int = 0) -> int:
-    """Peaks of a Dyck path piece that starts at height h, or -1 when one of
-    them lands at height 0 (a hill, so the path is not Fine): one scan that
-    reads both peaks and is_fine.  A peak across the piece's left end is not
-    seen."""
-    count = 0
-    prev = DOWN
-    for s in steps:
-        if s == UP:
-            h += 1
-        else:
-            h -= 1
-            if prev == UP:
-                if not h:
-                    return -1
-                count += 1
-        prev = s
-    return count
-
-
-@lru_cache(maxsize=None)
 def fine_poly_paths(n: int) -> MPoly:
     """F_n(y): peak distribution over Fine paths of length 2n.
 
-    Joins the two halves that enumerate_dyck joins, but by histogram: each
-    half is scanned once (_fine_peaks) and counted by its height at the
-    junction, its peaks and whether it meets the junction with an up step
-    (prefix) or a down step (suffix).  Halves with a hill are dropped.  A
-    prefix ending up and a suffix starting down make one more peak at the
-    junction, which is a hill when the junction is at height 1.
+    One pass over the 2n steps that counts the prefixes by height, whether
+    the last step was up, and peaks.  A down step after an up step makes a
+    peak, and one that lands at 0 (a hill) is never taken.  As in
+    motzkin_sum, no prefix climbs above the number of steps left.
     """
-    prefixes, suffixes = _halves(2 * n, _dyck_options)
-    ends = [Counter() for _ in suffixes]
-    for p, h in prefixes:
-        k = _fine_peaks(p)
-        if k >= 0:
-            ends[h][k, p[-1:] == (UP,)] += 1
-    total: Counter = Counter()
-    for h, (ending, starting) in enumerate(zip(ends, suffixes)):
-        begins: Counter = Counter()
-        for t in starting:
-            k = _fine_peaks(t, h)
-            if k >= 0:
-                begins[k, t[:1] == (DOWN,)] += 1
-        for (k1, up), c1 in ending.items():
-            for (k2, down), c2 in begins.items():
-                junction = up and down
-                if not (junction and h == 1):
-                    total[k1 + k2 + junction, 0, 0, 0] += c1 * c2
-    return MPoly(total)
+    if n < 0:
+        raise ValueError("path length must be >= 0")
+    cur = Counter({(0, False, 0): 1})  # (height, last step up, peaks) -> prefixes
+    for left in range(2 * n - 1, -1, -1):
+        nxt: Counter = Counter()
+        for (h, up, k), c in cur.items():
+            if h < left:
+                nxt[h + 1, True, k] += c
+            if h > 1 or (h == 1 and not up):
+                nxt[h - 1, False, k + up] += c
+        cur = nxt
+    # every whole path ends at height 0, after a down step unless it is empty
+    return MPoly({(k, 0, 0, 0): c for (_, _, k), c in cur.items()})
 
 
-@lru_cache(maxsize=None)
-def _returns_a(m: int) -> MPoly:
-    """Sum of a^ret(D) over the Dyck paths D of length 2m."""
-    return MPoly(Counter((0, 0, returns(d), 0) for d in enumerate_dyck(m)))
+# Returns to height 0 as a step weight: a on every down step from height 1.
+_RETURNS_A = StepWeights(up=lambda h: ONE, level=None, down=lambda h: A if h == 1 else ONE)
 
 
-@lru_cache(maxsize=None)
 def dyck_pair_sum_q0(N: int) -> MPoly:
     """Sum of b^ret(D1) a^ret(D2) over Dyck pairs with lengths adding to 2N.
 
@@ -594,6 +553,5 @@ def dyck_pair_sum_q0(N: int) -> MPoly:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    return sum(
-        (substitute(_returns_a(k), "a", B) * _returns_a(N - k) for k in range(N + 1)), ZERO
-    )
+    sums = [motzkin_sum(2 * m, lambda k: _RETURNS_A) for m in range(N + 1)]
+    return sum((substitute(sums[k], "a", B) * sums[N - k] for k in range(N + 1)), ZERO)

@@ -210,7 +210,6 @@ def enumerate_alternating(n: int) -> Iterator[Perm]:
     return rec([], 0)
 
 
-@lru_cache(maxsize=None)
 def alternating_E(n: int) -> MPoly:
     """E_n(q): 31-2 pattern distribution over alternating permutations.
 

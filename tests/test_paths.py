@@ -252,6 +252,7 @@ def test_unknown_family_is_rejected():
         lambda n: list(enumerate_laguerre(n)),
         lambda n: list(enumerate_tableaux(n)),
         dyck_pair_sum_q0,
+        fine_poly_paths,
         enumerate_permutations,
         enumerate_alternating,
     ],
@@ -272,6 +273,7 @@ def test_unknown_family_is_rejected():
         "enumerate_laguerre",
         "enumerate_tableaux",
         "dyck_pair_sum_q0",
+        "fine_poly_paths",
         "enumerate_permutations",
         "enumerate_alternating",
     ],
@@ -320,6 +322,17 @@ def test_fine_poly_paths_matches_is_fine_and_peaks():
     for n in range(10):
         want = Counter((peaks(d), 0, 0, 0) for d in enumerate_dyck(n) if is_fine(d))
         assert fine_poly_paths(n) == MPoly(want), n
+
+
+def test_dyck_pair_sum_matches_returns_over_listed_pairs():
+    for N in range(7):
+        want = Counter(
+            (0, 0, returns(d2), returns(d1))
+            for k in range(N + 1)
+            for d1 in enumerate_dyck(k)
+            for d2 in enumerate_dyck(N - k)
+        )
+        assert dyck_pair_sum_q0(N) == MPoly(want), N
 
 
 def test_dyck_pair_sum():

@@ -6,9 +6,16 @@ for each `def` in `src/pasep` (methods and nested functions included) to
 be among them.  The child is a new process so that `lru_cache`s warmed by
 earlier tests cannot hide a call.  Code that only tests reach belongs in
 the tests, or in ALLOWED with its reason.
+
+The child also reports the hits of every `lru_cache` in the package, and
+each must be read again at least once over the job list: a cache is kept
+for a recursion, a hot table or a value that more than one caller asks
+for.  A cache that no job re-reads is dropped, or listed in COLD_CACHES
+with its reason.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -34,6 +41,7 @@ JOBS = [
 ALLOWED = {
     "cli.main",  # the console script; it only wraps cli.run in sys.exit
     # definitions that tests compare the fast code against
+    "paths.enumerate_dyck",
     "paths.is_fine",
     "paths.peaks",
     "perms.enumerate_alternating",
@@ -54,6 +62,9 @@ ALLOWED = {
     "verify.VerifyReport.ok",
 }
 
+# lru_caches allowed no hit over JOBS, each with its reason; none today
+COLD_CACHES: dict[str, str] = {}
+
 CHILD = """
 import contextlib, io, json, os, sys
 entered = set()
@@ -68,9 +79,16 @@ for argv in json.loads(sys.argv[1]):
         codes.append(pasep.cli.run(argv))
 sys.setprofile(None)
 package = os.path.dirname(pasep.__file__)
+hits = {
+    name.removeprefix("pasep.") + "." + attr: obj.cache_info().hits
+    for name, module in list(sys.modules.items()) if name.startswith("pasep.")
+    for attr, obj in vars(module).items()
+    if hasattr(obj, "cache_info") and obj.__module__ == name
+}
 print(json.dumps({
     "package": package,
     "codes": codes,
+    "hits": hits,
     "entered": sorted(
         (os.path.basename(c.co_filename), c.co_firstlineno)
         for c in entered if os.path.dirname(c.co_filename) == package
@@ -101,7 +119,19 @@ def _defs() -> dict[tuple[str, int], str]:
     return out
 
 
-def test_every_def_runs_from_an_entry_point():
+def _cached_defs() -> set[str]:
+    """Dotted name of every module-level def decorated with lru_cache."""
+    return {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+    }
+
+
+@functools.cache
+def _child_report() -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(JOBS)],
@@ -114,8 +144,22 @@ def test_every_def_runs_from_an_entry_point():
     report = json.loads(proc.stdout)
     assert Path(report["package"]) == PACKAGE
     assert report["codes"] == [0] * len(JOBS)
+    return report
+
+
+def test_every_def_runs_from_an_entry_point():
+    report = _child_report()
     defs = _defs()
     never_run = set(defs.values()) - {defs.get(tuple(loc)) for loc in report["entered"]}
     # an entry that no longer names an unreached def leaves the list
     assert not ALLOWED - never_run, sorted(ALLOWED - never_run)
     assert not never_run - ALLOWED, sorted(never_run - ALLOWED)
+
+
+def test_every_lru_cache_is_read_again():
+    hits = _child_report()["hits"]
+    # every cache in the source is seen, so the check below is not vacuous
+    assert set(hits) == _cached_defs()
+    cold = {name for name, n in hits.items() if not n}
+    assert not set(COLD_CACHES) - cold, sorted(set(COLD_CACHES) - cold)
+    assert not cold - set(COLD_CACHES), sorted(cold - set(COLD_CACHES))
