@@ -79,6 +79,8 @@ SCALED_E = StepWeights(
 @lru_cache(maxsize=None)
 def zn_matrix(N: int) -> MPoly:
     """Partition function as <W| (yD + E)^N |V> on the explicit matrices."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     m = StepWeights(
         up=SCALED_E.up,
         level=lambda h: Y * SCALED_D.level(h) + SCALED_E.level(h),
@@ -209,6 +211,8 @@ def zn_hatted(N: int) -> MPoly:
     Each at^i (y bt)^j stays one monomial, at and bt held in the a and b
     slots, and from_shifted expands the sum and divides it by (1-q)^N.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc = ZERO
     one_plus_y_pow = [ONE]
     for _ in range(N):

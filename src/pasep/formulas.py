@@ -97,6 +97,8 @@ def zn_closed(N: int) -> MPoly:
     the a and b slots, and from_shifted takes the whole sum back to a and b
     and divides it by (1-q)^N, once.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc = ZERO
     for n in range(N + 1):
         acc = acc + R_formula(N, n) * rogers_szego(n, A, Y * B)

@@ -446,6 +446,8 @@ def sum_B(n: int) -> MPoly:
 @lru_cache(maxsize=None)
 def zn_paths(N: int) -> MPoly:
     """Partition function as the family-P weighted sum divided by (1-q)^N."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     steps = _family_steps("P", step_weight)
     return exact_div_pow_one_minus_q(motzkin_sum(N, lambda k: steps), N)
 

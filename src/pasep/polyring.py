@@ -23,12 +23,40 @@ Representation: a polynomial maps exponent tuples (ey, eq, ea, eb) to
 nonzero coefficients; the zero polynomial is the empty mapping.  Values are
 immutable after construction and every operation is a pure function, so
 everything here is safe for unrestricted concurrent use.
+
+The two exact conversions work on denser layouts, so that their inner loops
+run in C:
+
+- exact_div_pow_one_minus_q holds each (ey, ea, eb) group as a dense list
+  of q-coefficients and divides it by (1 - q) n times, each time by one
+  itertools.accumulate pass (the prefix sums).  The last prefix sum is the
+  remainder of that pass; NotDivisible is raised unless it is 0.  A
+  nonzero group of q-degree d has a nonzero remainder by pass d + 1 at
+  the latest, so a row is never emptied.
+- from_shifted packs the q-coefficients of each (ey, at, bt) cell into one
+  integer, the cell's value at q = 2^S (Kronecker substitution), with
+  signed S-bit slots.  Both Taylor shifts are then integer linear
+  combinations of whole cells: d(d+1)/2 big-int subtractions per row of
+  degree d, which are exact whatever the slots hold on the way.  Each cell
+  is read back once, through a bias of 2^(S-1) in every slot and
+  int.to_bytes.  That read is exact when every final coefficient has
+  |c| < 2^(S-1).  With M the largest input |coefficient| and da, db the
+  at- and bt-degrees, the coefficient of u^k v^l is a signed sum of
+  input coefficients times binom(i, k) binom(j, l), so
+  |c| <= M binom(da+1, k+1) binom(db+1, l+1) <= M 2^(da+db); hence S is
+  8 nb bits with nb bytes the least number above
+  (bit length of M + da + db) / 8.  The alternating input
+  (-1)^(i+j) M attains the middle binomials.  from_shifted then groups
+  the terms by m = k + l, raises NotDivisible for any m above N, and hands
+  each group to exact_div_pow_one_minus_q, which raises on any remainder.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate, zip_longest
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 VARS = ("y", "q", "a", "b")
@@ -206,55 +234,46 @@ def coeff_of(p: MPoly, var: str, k: int) -> MPoly:
     return MPoly._raw(out)
 
 
-def _div_one_minus_q(p: MPoly) -> MPoly:
-    # Synthetic division in q: if p = (1-q) r then the q-coefficients of r
-    # are the prefix sums of those of p, and the total sum is the remainder.
+def exact_div_pow_one_minus_q(p: MPoly, n: int) -> MPoly:
+    """Return r with r * (1-q)**n == p, raising NotDivisible otherwise.
+
+    Synthetic division in q, on each (ey, ea, eb) group as a dense list of
+    q-coefficients: if g = (1-q) r then the coefficients of r are the
+    prefix sums of those of g, and the total sum is the remainder.
+    """
+    if n < 0:
+        raise ValueError("negative divisor power")
+    if not n:
+        return p
     groups: dict[tuple[int, int, int], dict[int, int]] = {}
     for (ey, eq, ea, eb), c in p._t.items():
         groups.setdefault((ey, ea, eb), {})[eq] = c
     out: dict[Exponent, int] = {}
     for (ey, ea, eb), qcoeffs in groups.items():
-        deg = max(qcoeffs)
-        run = 0
-        for k in range(deg + 1):
-            run += qcoeffs.get(k, 0)
-            if k < deg and run:
-                out[(ey, k, ea, eb)] = run
-        if run != 0:
-            raise NotDivisible("nonzero remainder after division by (1-q)")
+        row = [0] * (max(qcoeffs) + 1)
+        for k, c in qcoeffs.items():
+            row[k] = c
+        for _ in range(n):
+            row = list(accumulate(row))
+            if row.pop():
+                raise NotDivisible("nonzero remainder after division by (1-q)")
+        for k, c in enumerate(row):
+            if c:
+                out[(ey, k, ea, eb)] = c
     return MPoly._raw(out)
 
 
-def exact_div_pow_one_minus_q(p: MPoly, n: int) -> MPoly:
-    """Return r with r * (1-q)**n == p, raising NotDivisible otherwise."""
-    if n < 0:
-        raise ValueError("negative divisor power")
-    for _ in range(n):
-        p = _div_one_minus_q(p)
-    return p
-
-
-def _shift_down(t: dict[Exponent, int], idx: int) -> dict[Exponent, int]:
-    # Taylor shift x -> x - 1 in exponent slot idx.  For each fixed rest of
-    # the exponent, the coefficients c_0..c_d of x^k become those of
-    # sum c_k (x - 1)^k by d(d+1)/2 repeated subtractions.
-    groups: dict[Exponent, list[int]] = {}
-    for e, c in t.items():
-        k = e[idx]
-        coeffs = groups.setdefault(e[:idx] + (0,) + e[idx + 1 :], [])
-        if len(coeffs) <= k:
-            coeffs.extend([0] * (k + 1 - len(coeffs)))
-        coeffs[k] = c
-    out: dict[Exponent, int] = {}
-    for rest, c in groups.items():
-        d = len(c) - 1
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                c[j] -= c[j + 1]
-        for k, ck in enumerate(c):
-            if ck:
-                out[rest[:idx] + (k,) + rest[idx + 1 :]] = ck
-    return out
+def _taylor_shift(c: list[int]) -> list[int]:
+    """In place, and returned: trailing zeros dropped, the coefficients
+    c_0..c_d of x^k become those of sum c_k (x - 1)^k, by d(d+1)/2
+    repeated subtractions."""
+    while c and not c[-1]:
+        c.pop()
+    d = len(c) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] -= c[j + 1]
+    return c
 
 
 def from_shifted(p: MPoly, N: int) -> MPoly:
@@ -264,19 +283,49 @@ def from_shifted(p: MPoly, N: int) -> MPoly:
     bt = (1-q)b - 1.  The Taylor shift at -> u - 1, bt -> v - 1 rewrites p
     in u = (1-q)a and v = (1-q)b, and u^k v^l = (1-q)^(k+l) a^k b^l, so
     the terms of total degree m = k + l are divided by (1-q)^(N-m) alone.
-    Raises NotDivisible when some m exceeds N or a division leaves a
-    remainder.
+    Both shifts run on q-packed cells (see the module docstring).  Raises
+    NotDivisible when some m exceeds N or a division leaves a remainder.
     """
     if N < 0:
         raise ValueError("negative divisor power")
+    t = p._t
+    if not t:
+        return ZERO
+    da = max(map(itemgetter(2), t))
+    db = max(map(itemgetter(3), t))
+    bits = max(map(abs, t.values())).bit_length() + da + db
+    nb = bits // 8 + 1  # S = 8 nb > bits, so every shifted |coefficient| < 2^(S-1)
+    S = 8 * nb
+    half = 1 << (S - 1)
+    # bias[e]: half in each of the slots 0..e, to read e + 1 signed slots
+    bias = list(accumulate(half << (S * e) for e in range(max(map(itemgetter(1), t)) + 1)))
+    cells: dict[tuple[int, int, int], int] = {}  # (ey, at, bt) -> value at q = 2^S
+    for (ey, eq, ea, eb), c in t.items():
+        key = (ey, ea, eb)
+        cells[key] = cells.get(key, 0) + (c << (S * eq))
     by_degree: dict[int, dict[Exponent, int]] = {}
-    for e, c in _shift_down(_shift_down(p._t, 2), 3).items():
-        by_degree.setdefault(e[2] + e[3], {})[e] = c
+    for ey in {key[0] for key in cells}:
+        # at -> u - 1 along each bt row, then bt -> v - 1 along each u column
+        rows = [
+            _taylor_shift([cells.get((ey, k, l), 0) for k in range(da + 1)]) for l in range(db + 1)
+        ]
+        for k, col in enumerate(zip_longest(*rows, fillvalue=0)):
+            for l, cell in enumerate(_taylor_shift(list(col))):
+                if not cell:
+                    continue
+                # the highest nonzero slot, as every |slot| < 2^(S-1)
+                top = abs(cell).bit_length() // S
+                raw = (cell + bias[top]).to_bytes((top + 1) * nb, "little")
+                group = by_degree.setdefault(k + l, {})
+                for eq in range(top + 1):
+                    c = int.from_bytes(raw[eq * nb : (eq + 1) * nb], "little") - half
+                    if c:
+                        group[(ey, eq, k, l)] = c
     out: dict[Exponent, int] = {}
-    for m, t in by_degree.items():
+    for m, group in by_degree.items():
         if m > N:
             raise NotDivisible(f"shifted degree {m} exceeds {N}")
-        out.update(exact_div_pow_one_minus_q(MPoly._raw(t), N - m)._t)
+        out.update(exact_div_pow_one_minus_q(MPoly._raw(group), N - m)._t)
     return MPoly._raw(out)
 
 

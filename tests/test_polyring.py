@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +80,142 @@ def test_exact_div_constructed_quotient():
 def test_exact_div_failure():
     with pytest.raises(NotDivisible):
         exact_div_pow_one_minus_q(ONE + Q, 1)
+
+
+# Reference conversions, one coefficient at a time: the fast ones in
+# polyring must agree with these on every input, divisible or not.
+
+
+def _div_one_minus_q(p: MPoly) -> MPoly:
+    # if p = (1-q) r, the q-coefficients of r are the prefix sums of those
+    # of p, and the total sum is the remainder
+    groups = {}
+    for (ey, eq, ea, eb), c in p.items():
+        groups.setdefault((ey, ea, eb), {})[eq] = c
+    out = {}
+    for (ey, ea, eb), qcoeffs in groups.items():
+        deg = max(qcoeffs)
+        run = 0
+        for k in range(deg + 1):
+            run += qcoeffs.get(k, 0)
+            if k < deg and run:
+                out[(ey, k, ea, eb)] = run
+        if run != 0:
+            raise NotDivisible("nonzero remainder after division by (1-q)")
+    return MPoly(out)
+
+
+def _reference_div(p: MPoly, n: int) -> MPoly:
+    for _ in range(n):
+        p = _div_one_minus_q(p)
+    return p
+
+
+def _shift_down(t: dict, idx: int) -> dict:
+    # Taylor shift x -> x - 1 in exponent slot idx: for each fixed rest of
+    # the exponent, c_0..c_d of x^k become those of sum c_k (x - 1)^k
+    groups = {}
+    for e, c in t.items():
+        k = e[idx]
+        coeffs = groups.setdefault(e[:idx] + (0,) + e[idx + 1 :], [])
+        coeffs.extend([0] * (k + 1 - len(coeffs)))
+        coeffs[k] = c
+    out = {}
+    for rest, c in groups.items():
+        d = len(c) - 1
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] -= c[j + 1]
+        for k, ck in enumerate(c):
+            if ck:
+                out[rest[:idx] + (k,) + rest[idx + 1 :]] = ck
+    return out
+
+
+def _reference_from_shifted(p: MPoly, N: int) -> MPoly:
+    by_degree = {}
+    for e, c in _shift_down(_shift_down(dict(p.items()), 2), 3).items():
+        by_degree.setdefault(e[2] + e[3], {})[e] = c
+    out = {}
+    for m, t in by_degree.items():
+        if m > N:
+            raise NotDivisible(f"shifted degree {m} exceeds {N}")
+        out.update(dict(_reference_div(MPoly(t), N - m).items()))
+    return MPoly(out)
+
+
+def _same_outcome(fast, reference, *args):
+    """fast(*args) == reference(*args), or both raise NotDivisible."""
+    try:
+        want = reference(*args)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            fast(*args)
+    else:
+        assert fast(*args) == want
+
+
+big_polys = st.dictionaries(exponents, st.integers(-(2**200), 2**200), max_size=8).map(MPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_polys, st.integers(0, 5))
+@example(ZERO, 3)
+@example(ONE - Q, 0)
+def test_exact_div_matches_reference_on_multiples(p, k):
+    multiple = p * (ONE - Q) ** k
+    assert exact_div_pow_one_minus_q(multiple, k) == _reference_div(multiple, k) == p
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_polys, st.integers(0, 6))
+@example(ONE + Q, 1)
+@example(Q**3 - Q**2 - Q + ONE, 3)  # (1-q)^2 (1+q): the third pass fails
+def test_exact_div_matches_reference_on_any_input(p, n):
+    _same_outcome(exact_div_pow_one_minus_q, _reference_div, p, n)
+
+
+def test_exact_div_edge_cases():
+    p = 3 * Y * Q**2 - A * B
+    assert exact_div_pow_one_minus_q(p, 0) == p
+    assert exact_div_pow_one_minus_q(ZERO, 4) == ZERO
+    # n above the q-degree of a group: NotDivisible, not an IndexError
+    for n in (3, 7):
+        with pytest.raises(NotDivisible):
+            exact_div_pow_one_minus_q((ONE - Q) ** 2 + Y, n)
+    with pytest.raises(NotDivisible):
+        exact_div_pow_one_minus_q(ONE, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_polys, st.integers(0, 8))
+@example(ZERO, 0)
+@example(A**3 * B**2 - Q * A, 5)
+def test_from_shifted_matches_reference(p, N):
+    _same_outcome(from_shifted, _reference_from_shifted, p, N)
+
+
+def _alternating_block(c: int, da: int, db: int) -> MPoly:
+    # p_ij = (-1)^(i+j) c for all i <= da, j <= db: the shifted coefficient of
+    # u^k v^l is then +-c binom(da+1, k+1) binom(db+1, l+1), the largest the
+    # Taylor shifts can make it
+    return MPoly({(0, 0, i, j): (-1) ** (i + j) * c for i in range(da + 1) for j in range(db + 1)})
+
+
+# magnitudes just below eight consecutive powers of two, so that the slot
+# width is as tight as it gets for each of them
+TIGHT = [(-1) ** k * (2 ** (196 + k) - 1) for k in range(8)]
+
+
+@pytest.mark.parametrize("c", [1, -1, 3, 2**200, -(2**200), *TIGHT])
+@pytest.mark.parametrize("da, db", [(0, 0), (1, 0), (0, 8), (3, 5), (8, 8)])
+def test_from_shifted_worst_case_slot_width(c, da, db):
+    N = da + db
+    p = _alternating_block(c, da, db) * (ONE - Q) ** N  # divisible for every shifted degree
+    shifted = _shift_down(_shift_down(dict(p.items()), 2), 3)
+    central = abs(c) * comb(N, N // 2) * comb(da + 1, (da + 1) // 2) * comb(db + 1, (db + 1) // 2)
+    assert max(map(abs, shifted.values())) == central
+    assert from_shifted(p, N) == _reference_from_shifted(p, N)
 
 
 def _shifted_sum(monkeypatch, module, route, N):

@@ -40,6 +40,12 @@ def test_zn_checks_its_input():
         pasep.zn(2, "nope")
 
 
+@pytest.mark.parametrize("route", pasep.METHODS.values(), ids=pasep.METHODS)
+def test_every_route_rejects_negative_n_alike(route):
+    with pytest.raises(ValueError, match=r"^N must be >= 0$"):
+        route(-1)
+
+
 # SHA-256 of the newline-joined check names of `verify --suite all --max-n 5`,
 # in run order; renaming, dropping or reordering any check changes it.
 CHECK_NAMES_MAX_N5 = (413, "2afec4c72bbe350fd226f3ee805277ff764db43494f07e2073d21168b36c12c4")
