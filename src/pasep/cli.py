@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from fractions import Fraction
 
 from . import METHODS, ansatz, formulas, paths, perms, tableaux, zn
-from .polyring import VARS, canonical_string, eval_rational
+from .polyring import canonical_string, eval_rational
 
 CAP_DEFAULT = 9
 # the keys of verify.SUITES, sorted; `verify` itself loads only for a verify job
@@ -75,23 +74,11 @@ def _cmd_zn(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    start = time.perf_counter()
     z = zn(args.n, args.method)
-    built = time.perf_counter()
-    out = canonical_string(z) if point is None else str(eval_rational(z, **point))
-    rendered = time.perf_counter()
-    print(out)
-    if args.stats:
-        stats = {
-            "method": args.method,
-            "n": args.n,
-            "build_s": round(built - start, 6),
-            "render_s": round(rendered - built, 6),
-            "terms": z.num_terms(),
-            **{f"deg_{name}": z.deg(name) for name in VARS},
-            "max_coeff_bits": max((abs(c).bit_length() for _, c in z.items()), default=0),
-        }
-        print(json.dumps(stats), file=sys.stderr)
+    if point is not None:
+        print(eval_rational(z, **point))
+    else:
+        print(canonical_string(z))
     return 0
 
 
@@ -186,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zn.add_argument("--method", choices=sorted(METHODS), default="closed")
     p_zn.add_argument("--eval", metavar="a=..,b=..,y=..,q=..", default=None)
     p_zn.add_argument("--force", action="store_true")
-    p_zn.add_argument("--stats", action="store_true", help="build statistics, as JSON, on stderr")
     p_zn.set_defaults(func=_cmd_zn)
 
     p_verify = sub.add_parser("verify", help="run a cross-validation suite")

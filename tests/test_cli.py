@@ -43,30 +43,6 @@ def test_zn_tableaux_golden(capsys):
     assert out.startswith("y^3*b^3 + y^2*q^2*a*b^2") and out.endswith("+ a^3")
 
 
-@pytest.mark.parametrize("extra", [[], ["--eval", "a=1/2,b=2,y=3,q=1/3"]])
-def test_zn_stats_go_to_stderr_only(capsys, extra):
-    argv = ["zn", "--n", "6", "--method", "hatted", *extra]
-    assert run(argv) == 0
-    plain = capsys.readouterr()
-    assert run([*argv, "--stats"]) == 0
-    with_stats = capsys.readouterr()
-    assert with_stats.out == plain.out and plain.err == ""
-    (line,) = with_stats.err.splitlines()
-    stats = json.loads(line)
-    z = pasep.zn(6, "hatted")
-    assert stats.pop("build_s") >= 0 and stats.pop("render_s") >= 0
-    assert stats == {
-        "method": "hatted",
-        "n": 6,
-        "terms": z.num_terms(),
-        "deg_y": 6,
-        "deg_q": z.deg("q"),
-        "deg_a": 6,
-        "deg_b": 6,
-        "max_coeff_bits": max(abs(c) for _, c in z.items()).bit_length(),
-    }
-
-
 def test_zn_eval(capsys):
     assert run(["zn", "--n", "2", "--method", "closed", "--eval", "a=1,b=1,y=1,q=1"]) == 0
     assert capsys.readouterr().out.strip() == "6"
@@ -290,21 +266,3 @@ def test_partition_tables_script_runs():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1:5] == [f"  Z({n}) = {GOLDEN[n]}" for n in range(4)]
-
-
-def test_zn_walls_script_runs():
-    proc = subprocess.run(
-        [sys.executable, ROOT / "scripts" / "zn_walls.py", *"--n 3 --method closed paths".split()],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, rule, *rows = proc.stdout.splitlines()
-    assert header == "| route | N | cold wall s | VmHWM MB | from_shifted s |"
-    cells = [row.strip("| ").split(" | ") for row in rows]
-    assert [(route, n, shifted == "-") for route, n, _, _, shifted in cells] == [
-        ("closed", "3", False),
-        ("paths", "3", True),
-    ]
-    assert all(float(wall) > 0 and float(hwm) > 0 for _, _, wall, hwm, _ in cells)
