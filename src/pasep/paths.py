@@ -111,11 +111,14 @@ def enumerate_laguerre(n: int) -> Iterator[tuple[LaguerreStep, ...]]:
     return motzkin_walks(n, _laguerre_options)
 
 
+def history_exponents(steps: tuple[LaguerreStep, ...]) -> tuple[int, int]:
+    """(sum of delta, sum of i): the y- and q-exponents of the history's weight."""
+    return sum(delta for _, delta, _ in steps), sum(i for _, _, i in steps)
+
+
 def history_weight(steps: tuple[LaguerreStep, ...]) -> MPoly:
     """Product over steps of y^delta q^i."""
-    ey = sum(delta for _, delta, _ in steps)
-    eq = sum(i for _, _, i in steps)
-    return monomial(1, ey=ey, eq=eq)
+    return monomial(1, *history_exponents(steps))
 
 
 def _step_type(delta: int, i: int, h: int) -> int:

@@ -21,13 +21,24 @@ permutation by _asc312_key, which computes only (asc, 31-2, s, t) in one
 function, while zn_perm_wexcr stays on stats (see its comment).
 
 alternating_E counts 31-2 patterns on down-up permutations without listing
-them: a depth-first search over prefixes adds, as each value is placed, the
-descents already completed that straddle it.  enumerate_alternating and
+them, by a DP over standardized prefix states, one position at a time.
+Placing a value adds the number of completed descents that straddle it (its
+cover), so a prefix's completions depend only on three things: whether the
+next step goes down (the parity of the prefix length), how many unplaced
+values lie below the last placed one, and the tuple of covers of the
+unplaced values in ascending order.  Placing the r-th unplaced value adds
+its cover; a descent also adds 1 to the cover of every unplaced value
+strictly between the two values.  Each state holds the q-generating
+function of the 31-2 counts of the prefixes that reach it, packed in one
+int, its value at q = 2^S.  The coefficients are non-negative and sum to
+the number of those prefixes, at most n!, so the slot width
+S = (bit length of n!) + 1 never overflows.  enumerate_alternating and
 p31_2 are the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations as _lex_permutations
@@ -213,37 +224,32 @@ def enumerate_alternating(n: int) -> Iterator[Perm]:
 def alternating_E(n: int) -> MPoly:
     """E_n(q): 31-2 pattern distribution over alternating permutations.
 
-    A depth-first search over down-up prefixes that carries the 31-2 count;
-    enumerate_alternating and p31_2 are the definition it equals.  cover[v]
-    is the number of descents sigma(i) > sigma(i+1), completed at a position
-    i + 1 already placed, with sigma(i+1) < v < sigma(i); placing v adds
-    cover[v], and completing a descent raises cover across it until the
-    search backs out of that position.
+    The prefix-state DP of the module docstring; enumerate_alternating and
+    p31_2 are the definition it equals.
     """
-    if n < 1:
-        raise ValueError("alternating_E requires n >= 1")
-    counts: Counter = Counter()
-    cover = [0] * (n + 1)
-    values = (1 << n + 1) - 2  # bit v set for each value v in 1..n
-
-    def place(k: int, last: int, used: int, count: int) -> None:
-        # k values placed, the last of them `last`; position k + 1 is next
-        if k == n - 1:  # the last value is forced
-            v = (values ^ used).bit_length() - 1
-            if (v < last) if k % 2 else (v > last):
-                counts[0, count + cover[v], 0, 0] += 1
-        elif k % 2:
-            for v in range(1, last):
-                if not used >> v & 1:
-                    for w in range(v + 1, last):
-                        cover[w] += 1
-                    place(k + 1, v, used | 1 << v, count + cover[v])
-                    for w in range(v + 1, last):
-                        cover[w] -= 1
-        else:
-            for v in range(last + 1, n + 1):
-                if not used >> v & 1:
-                    place(k + 1, v, used | 1 << v, count + cover[v])
-
-    place(0, 0, 0, 0)
-    return MPoly(counts)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    slot = math.factorial(n).bit_length() + 1
+    # (unplaced values below the last placed one, their covers) -> packed counts
+    states: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * n): 1}
+    for k in range(n):  # k values placed
+        down = k % 2
+        reached: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (r, cover), packed in states.items():
+            for j in range(r) if down else range(r, len(cover)):
+                if down:
+                    rest = (*cover[:j], *[c + 1 for c in cover[j + 1 : r]], *cover[r:])
+                else:
+                    rest = cover[:j] + cover[j + 1 :]
+                reached[j, rest] = reached.get((j, rest), 0) + (packed << cover[j] * slot)
+        states = reached
+    packed = sum(states.values())
+    mask = (1 << slot) - 1
+    counts: dict[Exponent, int] = {}
+    e = 0
+    while packed:
+        if packed & mask:
+            counts[0, e, 0, 0] = packed & mask
+        packed >>= slot
+        e += 1
+    return MPoly._raw(counts)

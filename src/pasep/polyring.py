@@ -211,15 +211,18 @@ def substitute(p: MPoly, var: str, value) -> MPoly:
         k = rest[idx]
         rest[idx] = 0
         groups.setdefault(k, {})[tuple(rest)] = c
-    out = ZERO
+    out: dict[Exponent, int] = {}
     power = ONE
     prev = 0
     for k in sorted(groups):
         for _ in range(k - prev):
             power = power * value
         prev = k
-        out = out + MPoly._raw(groups[k]) * power
-    return out
+        for e2, c2 in power._t.items():
+            for e1, c1 in groups[k].items():
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                out[e] = out.get(e, 0) + c1 * c2
+    return MPoly(out)
 
 
 def coeff_of(p: MPoly, var: str, k: int) -> MPoly:

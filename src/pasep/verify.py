@@ -194,9 +194,9 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
                 fz_ok = False
             if not _inverts(bijections.francon_viennot_inverse, hv, sigma):
                 fv_ok = False
-            if paths.history_weight(hz) != monomial(1, ey=st.wex, eq=st.cr):
+            if paths.history_exponents(hz) != (st.wex, st.cr):
                 fz_wt = False
-            if paths.history_weight(hv) != monomial(1, ey=st.asc, eq=st.p31_2):
+            if paths.history_exponents(hv) != (st.asc, st.p31_2):
                 fv_wt = False
             lr_max, rl_min, rl_max = _extrema(sigma)
             fixed = {p for p in range(1, n + 1) if sigma[p - 1] == p}

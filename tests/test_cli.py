@@ -204,6 +204,18 @@ def test_verify_identities(capsys):
     assert "0 failures" in out
 
 
+# SHA-256 of the stdout of `pasep verify --suite all` (710 lines, 709 checks):
+# pins the check names, their order and their count.
+VERIFY_ALL_SHA256 = "c368b9426edd41f2153f93609323e42ab5325842ea93c56d75b5a4f5cf1c484a"
+
+
+def test_verify_all_output_is_pinned(capsys):
+    assert run(["verify", "--suite", "all"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 710 and out.endswith("suite all: 709 checks, 0 failures\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
 def test_verify_symmetry(capsys):
     assert run(["verify", "--suite", "symmetry", "--max-n", "4"]) == 0
     out = capsys.readouterr().out

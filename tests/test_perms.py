@@ -1,5 +1,8 @@
 from collections import Counter
 
+import pytest
+
+from pasep.formulas import q_tangent_secant
 from pasep.perms import (
     _asc312_key,
     alternating_E,
@@ -121,7 +124,15 @@ def test_alternating_E_matches_the_definition():
         assert alternating_E(n) == MPoly(want), n
 
 
+def test_alternating_E_matches_the_closed_form_beyond_the_definition():
+    for n in range(11, 14):
+        assert alternating_E(n) == q_tangent_secant(n), n
+
+
 def test_alternating_E_small():
+    assert alternating_E(0) == ONE
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        alternating_E(-1)
     assert alternating_E(1) == ONE
     assert alternating_E(2) == ONE
     assert alternating_E(3) == ONE + Q

@@ -72,6 +72,28 @@ def test_substitute_y_one():
     assert substitute(Y * B + A, "y", ONE) == A + B
 
 
+def _substitute_term_by_term(p, var, value):
+    idx = "yqab".index(var)
+    total = ZERO
+    for e, c in p.items():
+        rest = list(e)
+        rest[idx] = 0
+        total = total + monomial(c, *rest) * value ** e[idx]
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, st.sampled_from("yqab"), st.sampled_from([ZERO, ONE, -ONE, 3 * ONE, -Y, B, ONE - Q]))
+@example(monomial(5, ey=2, eq=1) - Y, "q", ONE - Q)
+def test_substitute_is_the_term_by_term_sum(p, var, value):
+    assert substitute(p, var, value) == _substitute_term_by_term(p, var, value)
+
+
+def test_substitute_zero_to_the_zero_is_one():
+    assert substitute(ONE + A, "a", ZERO) == ONE
+    assert substitute(3 * Q**2 + 2 * Y, "q", ZERO) == 2 * Y
+
+
 def test_exact_div_constructed_quotient():
     p = (ONE - Q) ** 2 * (A + Y * B)
     assert exact_div_pow_one_minus_q(p, 2) == A + Y * B

@@ -81,6 +81,15 @@ def test_bad_history_image_fails_its_round_trip_check(monkeypatch, name):
     assert f"{prefix} round trip and validity, n=0" not in failed
 
 
+def test_wrong_history_weight_fails_both_weight_laws(monkeypatch):
+    monkeypatch.setattr(verify.paths, "history_exponents", lambda steps: (0, 0))
+    failed = {n for n, _ in verify.bijection_suite(max_n=2).failures}
+    laws = {f"FZ weight law y^wex q^cr, n={n}" for n in (1, 2)}
+    laws |= {f"FV weight law y^asc q^31-2, n={n}" for n in (1, 2)}
+    assert laws <= failed
+    assert "FZ weight law y^wex q^cr, n=0" not in failed
+
+
 def test_history_code_is_injective_on_laguerre_histories():
     # the bijection suite counts distinct histories by their codes, so the
     # code must separate every two histories of at most n steps
