@@ -9,90 +9,18 @@ histories, weighted path families), together with the bijections, moment
 formulas and classical-sequence specializations tying them together.
 
 `METHODS` names the nine routes and `zn(N, method)` is the validated entry
-point to them.  The bijections (`pasep.bijections`) and the
-cross-validation suites (`pasep.verify`) are not imported here; each loads
-when first imported, so a process that only computes Z(N) never compiles
-them.
+point to them; everything else is imported from its module.  The
+bijections (`pasep.bijections`) and the cross-validation suites
+(`pasep.verify`) are not imported here; each loads when first imported, so
+a process that only computes Z(N) never compiles them.
 """
 
-from .polyring import (
-    MPoly,
-    NotDivisible,
-    DegreeTooHigh,
-    A,
-    B,
-    ONE,
-    Q,
-    Y,
-    ZERO,
-    ALPHA_TILDE,
-    BETA_TILDE,
-    canonical_string,
-    coeff_of,
-    eval_rational,
-    exact_div_pow_one_minus_q,
-    exact_div_var,
-    monomial,
-    parse_poly,
-    substitute,
-    y_reflect,
-)
-from .qtools import binomial, q_binomial, q_int, q_pochhammer_eval, touchard_M
-from .perms import (
-    PermStats,
-    alternating_E,
-    enumerate_permutations,
-    perm_string,
-    stats,
-    tilde,
-    zn_perm_asc312,
-    zn_perm_wexcr,
-)
-from .tableaux import (
-    PermutationTableau,
-    enumerate_tableaux,
-    tableau_stats,
-    zn_tableaux,
-)
-from .paths import (
-    LengthMismatch,
-    MalformedPath,
-    StepWeights,
-    dyck_pair_sum_q0,
-    enumerate_laguerre,
-    fine_poly_paths,
-    history_weight,
-    jfraction_moment,
-    peaks,
-    returns,
-    sum_B,
-    sum_R,
-    zn_histories,
-    zn_paths,
-)
-from .ansatz import (
-    hatted_coeffs,
-    normal_order,
-    state_weight,
-    zn_hatted,
-    zn_matrix,
-    zn_normal,
-)
-from .formulas import (
-    B_formula,
-    R_formula,
-    R_y1,
-    SingularPoint,
-    asc_mom_closed,
-    fine_from_Z,
-    q_eulerian,
-    q_stirling2,
-    q_tangent_secant,
-    stanton_moment_eval,
-    zn_cas1,
-    zn_closed,
-    zn_product_y1q1,
-)
+from .polyring import MPoly
+from .perms import zn_perm_asc312, zn_perm_wexcr
+from .tableaux import zn_tableaux
+from .paths import zn_histories, zn_paths
+from .ansatz import zn_hatted, zn_matrix, zn_normal
+from .formulas import zn_closed
 
 # The nine routes to Z(N), by CLI method name.  `verify.METHODS` is this same
 # dict, so the CLI and every verify suite dispatch through one table.
@@ -117,5 +45,3 @@ def zn(N: int, method: str) -> MPoly:
         raise ValueError(f"unknown method {method!r}")
     return METHODS[method](N)
 
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,17 +23,16 @@ the relation moves E left past one D at a time, so a row sum_j c[i,j] D^j
 times yD + E is taken by Horner's rule from its top j down.
 
 Each c[n][i, j] is a polynomial in y and q with non-negative integer
-coefficients, held packed in one int (Kronecker substitution): the
-coefficient of y^ey q^eq sits at bit S (ey W + eq), so multiplying by q is a
-shift by S and by y a shift by S W.  Nothing is ever subtracted, so every
-slot of every intermediate is at most a coefficient of some c[n], n <= N,
-and its monomial is one of c[n]'s.  Hence the slots never spill into each
-other, with S the first multiple of 8 above the bit length of (N+1)! (the
+coefficients, held packed in one int (polyring's Kronecker substitution):
+the coefficient of y^ey q^eq sits in slot ey W + eq, so multiplying by q is
+a shift by one slot and by y a shift by W slots.  Nothing is ever
+subtracted, so every slot of every intermediate is at most a coefficient of
+some c[n], n <= N, and its monomial is one of c[n]'s.  Hence the slots never
+spill into each other, with the bound (N+1)! for slot_bytes (the
 coefficients of c[n] add up to Z(n) at y = q = a = b = 1, which is (n+1)!)
-and W = floor(N^2/4) + 2: each q records one D before E pair swapped, the
-other two terms drop a letter, and a word of N letters has at most
-floor(N^2/4) such pairs.  Each slot is read back once, from the bytes of
-the int.
+and W = floor(N^2/4) + 2 slots a y row: each q records one D before E pair
+swapped, the other two terms drop a letter, and a word of N letters has at
+most floor(N^2/4) such pairs.
 
 A second, rook-placement flavored route normal orders (qy Dh + q Eh)^k for
 the shifted operators Dh = ((q-1) D + I)/q, Eh = ((q-1) E + I)/q whose
@@ -60,6 +59,8 @@ from .polyring import (
     exact_div_pow_one_minus_q,
     from_shifted,
     monomial,
+    slot_bytes,
+    unpack,
 )
 from .qtools import binomial, q_binomial, touchard_M
 
@@ -113,15 +114,19 @@ Coeffs = dict[tuple[int, int], MPoly]  # (i, j) -> coefficient of E^i D^j
 
 
 def _unpack(packed: int, nb: int, W: int) -> MPoly:
-    # slot (ey, eq) starts at byte nb (ey W + eq); the empty q slots at the
-    # ends of each y row are stripped, not read
-    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    # one y row of W slots at a time, each read up to its top q only: most of
+    # the (N+1) W slots of a flat read would be empty
+    row_bits = 8 * nb * W
+    mask = (1 << row_bits) - 1
     terms = {}
-    for ey, start in enumerate(range(0, len(raw), nb * W)):
-        row = raw[start : start + nb * W].rstrip(b"\0")
-        for s in range((len(row) - len(row.lstrip(b"\0"))) // nb * nb, len(row), nb):
-            terms[ey, s // nb, 0, 0] = int.from_bytes(row[s : s + nb], "little")
-    return MPoly(terms)
+    ey = 0
+    while packed:
+        for eq, c in enumerate(unpack(packed & mask, nb)):
+            if c:
+                terms[ey, eq, 0, 0] = c
+        packed >>= row_bits
+        ey += 1
+    return MPoly._raw(terms)
 
 
 def normal_order(N: int) -> Coeffs:
@@ -133,7 +138,7 @@ def normal_order(N: int) -> Coeffs:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    nb, W = factorial(N + 1).bit_length() // 8 + 1, N * N // 4 + 2  # bytes a slot, slots a y row
+    nb, W = slot_bytes(factorial(N + 1)), N * N // 4 + 2  # bytes a slot, slots a y row
     S = 8 * nb
     rows = [[1]]  # rows[i][j] = c[n][i, j], packed
     for _ in range(N):
@@ -178,20 +183,16 @@ def _hatted_step(prev: Coeffs) -> Coeffs:
     return {key: c for key, c in out.items() if c}
 
 
-_HATTED: list[Coeffs] = [{(0, 0): ONE}]
-
-
 def hatted_coeffs(k: int) -> Coeffs:
     """d[k][i, j] by the recurrence
     d[k+1][i,j] = d[k][i,j-1] + q^j d[k][i-1,j] + y(1 - q^(j+1)) d[k][i,j+1]
-    from d[0] = {(0,0): 1}."""
+    from d[0] = {(0,0): 1}, one step at a time."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    # every d[k] built so far stays in _HATTED, extended from the last one,
-    # so a large k costs no recursion depth
-    while len(_HATTED) <= k:
-        _HATTED.append(_hatted_step(_HATTED[-1]))
-    return _HATTED[k]
+    d: Coeffs = {(0, 0): ONE}
+    for _ in range(k):
+        d = _hatted_step(d)
+    return d
 
 
 def hatted_closed_form(k: int, i: int, j: int) -> MPoly:
@@ -217,9 +218,12 @@ def zn_hatted(N: int) -> MPoly:
     one_plus_y_pow = [ONE]
     for _ in range(N):
         one_plus_y_pow.append(one_plus_y_pow[-1] * (ONE + Y))
+    d: Coeffs = {(0, 0): ONE}  # d[k], stepped once per k
     for k in range(N + 1):
+        if k:
+            d = _hatted_step(d)
         inner = ZERO
-        for (i, j), c in hatted_coeffs(k).items():
+        for (i, j), c in d.items():
             inner = inner + c * monomial(1, ey=j, ea=i, eb=j)
         acc = acc + binomial(N, k) * one_plus_y_pow[N - k] * inner
     return from_shifted(acc, N)

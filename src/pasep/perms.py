@@ -30,10 +30,9 @@ unplaced values in ascending order.  Placing the r-th unplaced value adds
 its cover; a descent also adds 1 to the cover of every unplaced value
 strictly between the two values.  Each state holds the q-generating
 function of the 31-2 counts of the prefixes that reach it, packed in one
-int, its value at q = 2^S.  The coefficients are non-negative and sum to
-the number of those prefixes, at most n!, so the slot width
-S = (bit length of n!) + 1 never overflows.  enumerate_alternating and
-p31_2 are the reference it is tested against.
+int by polyring's codec.  The coefficients are non-negative and sum to the
+number of those prefixes, so n! bounds every slot.  enumerate_alternating
+and p31_2 are the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from functools import lru_cache
 from itertools import permutations as _lex_permutations
 from typing import Iterator, NamedTuple
 
-from .polyring import Exponent, MPoly
+from .polyring import Exponent, MPoly, slot_bytes, unpack
 
 Perm = tuple[int, ...]
 
@@ -229,7 +228,8 @@ def alternating_E(n: int) -> MPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    slot = math.factorial(n).bit_length() + 1
+    nb = slot_bytes(math.factorial(n))
+    S = 8 * nb
     # (unplaced values below the last placed one, their covers) -> packed counts
     states: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * n): 1}
     for k in range(n):  # k values placed
@@ -241,15 +241,7 @@ def alternating_E(n: int) -> MPoly:
                     rest = (*cover[:j], *[c + 1 for c in cover[j + 1 : r]], *cover[r:])
                 else:
                     rest = cover[:j] + cover[j + 1 :]
-                reached[j, rest] = reached.get((j, rest), 0) + (packed << cover[j] * slot)
+                reached[j, rest] = reached.get((j, rest), 0) + (packed << cover[j] * S)
         states = reached
-    packed = sum(states.values())
-    mask = (1 << slot) - 1
-    counts: dict[Exponent, int] = {}
-    e = 0
-    while packed:
-        if packed & mask:
-            counts[0, e, 0, 0] = packed & mask
-        packed >>= slot
-        e += 1
-    return MPoly._raw(counts)
+    counts = unpack(sum(states.values()), nb)
+    return MPoly._raw({(0, e, 0, 0): c for e, c in enumerate(counts) if c})

@@ -34,21 +34,30 @@ run in C:
   nonzero group of q-degree d has a nonzero remainder by pass d + 1 at
   the latest, so a row is never emptied.
 - from_shifted packs the q-coefficients of each (ey, at, bt) cell into one
-  integer, the cell's value at q = 2^S (Kronecker substitution), with
-  signed S-bit slots.  Both Taylor shifts are then integer linear
-  combinations of whole cells: d(d+1)/2 big-int subtractions per row of
-  degree d, which are exact whatever the slots hold on the way.  Each cell
-  is read back once, through a bias of 2^(S-1) in every slot and
-  int.to_bytes.  That read is exact when every final coefficient has
-  |c| < 2^(S-1).  With M the largest input |coefficient| and da, db the
-  at- and bt-degrees, the coefficient of u^k v^l is a signed sum of
-  input coefficients times binom(i, k) binom(j, l), so
-  |c| <= M binom(da+1, k+1) binom(db+1, l+1) <= M 2^(da+db); hence S is
-  8 nb bits with nb bytes the least number above
-  (bit length of M + da + db) / 8.  The alternating input
+  integer, the cell's value at q = 2^S (Kronecker substitution, below).
+  Both Taylor shifts are then integer linear combinations of whole cells:
+  d(d+1)/2 big-int subtractions per row of degree d, which are exact
+  whatever the slots hold on the way.  Each cell is read back once.  With
+  M the largest input |coefficient| and da, db the at- and bt-degrees,
+  the coefficient of u^k v^l is a signed sum of input coefficients times
+  binom(i, k) binom(j, l), so |c| <= M binom(da+1, k+1) binom(db+1, l+1)
+  <= M 2^(da+db), the bound handed to slot_bytes.  The alternating input
   (-1)^(i+j) M attains the middle binomials.  from_shifted then groups
   the terms by m = k + l, raises NotDivisible for any m above N, and hands
   each group to exact_div_pow_one_minus_q, which raises on any remainder.
+
+Packed integers.  A sequence of integers c_0, c_1, ... is packed as the one
+int sum c_i 2^(S i), with S = 8 nb bits a slot.  Besides from_shifted,
+ansatz.normal_order and perms.alternating_E hold their coefficients so, and
+slot_bytes and unpack are the one codec of all three.  slot_bytes(bound)
+is the least nb with every |c| <= bound below 2^(S-1).  Under that bound
+unpack(packed, nb) reads the slots back exactly, whatever their signs:
+adding the bias 2^(S-1) to every slot makes each one a value in [0, 2^S),
+so no slot borrows from or carries into its neighbour, and flipping each
+slot's top bit back leaves c_i as an S-bit two's complement, read from the
+bytes.  The highest nonzero slot t is the bit length of |packed|
+floor-divided by S: the lower slots add up to less than 2^(S t - 1) in
+absolute value, so 2^(S t - 1) < |packed| < 2^(S (t+1) - 1).
 """
 
 from __future__ import annotations
@@ -266,6 +275,24 @@ def exact_div_pow_one_minus_q(p: MPoly, n: int) -> MPoly:
     return MPoly._raw(out)
 
 
+def slot_bytes(bound: int) -> int:
+    """Bytes a packed slot takes so that every |c| <= bound reads back."""
+    return bound.bit_length() // 8 + 1
+
+
+def unpack(packed: int, nb: int) -> list[int]:
+    """The signed nb-byte slots of packed, lowest first, up to the highest
+    nonzero one; [] for 0.  Exact when every slot is below 2^(8 nb - 1) in
+    absolute value (see the module docstring)."""
+    if not packed:
+        return []
+    S = 8 * nb
+    n = abs(packed).bit_length() // S + 1
+    bias = int.from_bytes((1 << (S - 1)).to_bytes(nb, "little") * n, "little")
+    raw = ((packed + bias) ^ bias).to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[i : i + nb], "little", signed=True) for i in range(0, n * nb, nb)]
+
+
 def _taylor_shift(c: list[int]) -> list[int]:
     """In place, and returned: trailing zeros dropped, the coefficients
     c_0..c_d of x^k become those of sum c_k (x - 1)^k, by d(d+1)/2
@@ -296,12 +323,8 @@ def from_shifted(p: MPoly, N: int) -> MPoly:
         return ZERO
     da = max(map(itemgetter(2), t))
     db = max(map(itemgetter(3), t))
-    bits = max(map(abs, t.values())).bit_length() + da + db
-    nb = bits // 8 + 1  # S = 8 nb > bits, so every shifted |coefficient| < 2^(S-1)
+    nb = slot_bytes(max(map(abs, t.values())) << (da + db))
     S = 8 * nb
-    half = 1 << (S - 1)
-    # bias[e]: half in each of the slots 0..e, to read e + 1 signed slots
-    bias = list(accumulate(half << (S * e) for e in range(max(map(itemgetter(1), t)) + 1)))
     cells: dict[tuple[int, int, int], int] = {}  # (ey, at, bt) -> value at q = 2^S
     for (ey, eq, ea, eb), c in t.items():
         key = (ey, ea, eb)
@@ -316,12 +339,8 @@ def from_shifted(p: MPoly, N: int) -> MPoly:
             for l, cell in enumerate(_taylor_shift(list(col))):
                 if not cell:
                     continue
-                # the highest nonzero slot, as every |slot| < 2^(S-1)
-                top = abs(cell).bit_length() // S
-                raw = (cell + bias[top]).to_bytes((top + 1) * nb, "little")
                 group = by_degree.setdefault(k + l, {})
-                for eq in range(top + 1):
-                    c = int.from_bytes(raw[eq * nb : (eq + 1) * nb], "little") - half
+                for eq, c in enumerate(unpack(cell, nb)):
                     if c:
                         group[(ey, eq, k, l)] = c
     out: dict[Exponent, int] = {}

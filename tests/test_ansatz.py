@@ -2,7 +2,6 @@ import math
 import sys
 from itertools import product
 
-from pasep import ansatz
 from pasep.ansatz import (
     SCALED_D,
     SCALED_E,
@@ -153,13 +152,12 @@ def _frame_depth() -> int:
     return depth
 
 
-def test_recurrences_build_without_recursion(monkeypatch):
-    # c[12], which normal_order builds from c[0] on every call, and d[12],
-    # from an emptied _HATTED, are built with only 16 frames to spare above
-    # this test; a build that recursed once per index (12 levels through the
-    # cache, then the ring operations) would need about 28.
+def test_recurrences_build_without_recursion():
+    # c[12] and d[12], which normal_order and hatted_coeffs build from c[0]
+    # and d[0] on every call, are built with only 16 frames to spare above
+    # this test; a build that recursed once per index (12 levels, then the
+    # ring operations) would need about 28.
     want = normal_order(12), hatted_coeffs(12)
-    monkeypatch.setattr(ansatz, "_HATTED", ansatz._HATTED[:1])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 16)
     try:
@@ -167,7 +165,6 @@ def test_recurrences_build_without_recursion(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
-    assert len(ansatz._HATTED) == 13
 
 
 def test_zn_hatted_matches():

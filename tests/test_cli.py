@@ -24,7 +24,7 @@ def test_zn_closed(capsys):
 BENCH_REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
 
 
-@pytest.mark.parametrize("method", ["closed", "hatted"])
+@pytest.mark.parametrize("method", ["closed", "hatted", "normal"])
 @pytest.mark.parametrize("n", sorted(BENCH_REFERENCE["zn_sha256"]))
 def test_zn_matches_bench_reference(capsys, method, n):
     assert run(["zn", "--n", n, "--method", method]) == 0

@@ -1,6 +1,8 @@
+import ast
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,9 @@ from pasep.polyring import (
     from_shifted,
     monomial,
     parse_poly,
+    slot_bytes,
     substitute,
+    unpack,
     y_reflect,
 )
 
@@ -283,6 +287,54 @@ def test_from_shifted_rejects():
         from_shifted(A * B, 1)  # shifted degree 2 > N = 1
     with pytest.raises(NotDivisible):
         from_shifted(A, 1)  # ((1-q)a - 1) / (1-q)
+
+
+# The packed-integer codec: signed slots within the bound read back exactly,
+# and no other module reads packed slots on its own.
+
+
+def test_slot_bytes_at_the_byte_boundaries():
+    assert [slot_bytes(b) for b in (0, 1, 127, 128, 2**15 - 1, 2**15, 2**64)] == [1, 1, 1, 2, 2, 3, 9]
+
+
+@st.composite
+def bounded_slots(draw):
+    bound = draw(st.sampled_from([2**k - 1 for k in range(1, 80)] + [2**k for k in range(80)]))
+    return bound, draw(st.lists(st.integers(-bound, bound), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_slots())
+@example((2**7 - 1, [2**7 - 1, -(2**7 - 1)]))  # a negative top slot, nb = 1
+@example((2**7, [-(2**7), 0, 2**7, -(2**7)]))  # the bound that needs nb = 2
+@example((2**16 - 1, [0, 0, 1, -(2**16 - 1)]))
+@example((5, [0, 0, 0]))  # all zero: no slots
+@example((1, [-1]))
+def test_unpack_round_trip(case):
+    bound, coeffs = case
+    nb = slot_bytes(bound)
+    packed = sum(c << (8 * nb * i) for i, c in enumerate(coeffs))
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    assert unpack(packed, nb) == coeffs
+
+
+def test_unpack_zero_is_no_slots():
+    assert unpack(0, 1) == unpack(0, 7) == []
+
+
+def test_only_polyring_reads_packed_slots():
+    calls = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pasep").glob("*.py")):
+        calls[path.stem] = {
+            node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("to_bytes", "from_bytes")
+        }
+    assert calls.pop("polyring") == {"to_bytes", "from_bytes"}  # the scan sees the codec
+    assert not any(calls.values()), calls
 
 
 def test_exact_div_var():
