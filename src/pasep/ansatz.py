@@ -183,16 +183,16 @@ def _hatted_step(prev: Coeffs) -> Coeffs:
     return {key: c for key, c in out.items() if c}
 
 
-def hatted_coeffs(k: int) -> Coeffs:
-    """d[k][i, j] by the recurrence
-    d[k+1][i,j] = d[k][i,j-1] + q^j d[k][i-1,j] + y(1 - q^(j+1)) d[k][i,j+1]
-    from d[0] = {(0,0): 1}, one step at a time."""
+def hatted_coeffs(k: int) -> list[Coeffs]:
+    """[d[0], ..., d[k]], with d[m][i, j] by the recurrence
+    d[m+1][i,j] = d[m][i,j-1] + q^j d[m][i-1,j] + y(1 - q^(j+1)) d[m][i,j+1]
+    from d[0] = {(0,0): 1}, in one walk of k steps."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    d: Coeffs = {(0, 0): ONE}
+    ds: list[Coeffs] = [{(0, 0): ONE}]
     for _ in range(k):
-        d = _hatted_step(d)
-    return d
+        ds.append(_hatted_step(ds[-1]))
+    return ds
 
 
 def hatted_closed_form(k: int, i: int, j: int) -> MPoly:
@@ -218,10 +218,7 @@ def zn_hatted(N: int) -> MPoly:
     one_plus_y_pow = [ONE]
     for _ in range(N):
         one_plus_y_pow.append(one_plus_y_pow[-1] * (ONE + Y))
-    d: Coeffs = {(0, 0): ONE}  # d[k], stepped once per k
-    for k in range(N + 1):
-        if k:
-            d = _hatted_step(d)
+    for k, d in enumerate(hatted_coeffs(N)):
         inner = ZERO
         for (i, j), c in d.items():
             inner = inner + c * monomial(1, ey=j, ea=i, eb=j)

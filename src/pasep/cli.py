@@ -88,8 +88,9 @@ def _cmd_verify(args) -> int:
     reports = verify.run_suite(args.suite, args.max_n)
     failures = 0
     for rep in reports:
+        failed = dict(rep.failures)
         for name in rep.checks:
-            bad = dict(rep.failures).get(name)
+            bad = failed.get(name)
             if bad is None:
                 print(f"ok    [{rep.suite}] {name}")
             else:

@@ -127,15 +127,15 @@ def _step_type(delta: int, i: int, h: int) -> int:
     return 2 - delta if i - delta == h - 1 else 0
 
 
-def history_type_flags(steps: tuple[LaguerreStep, ...]) -> list[tuple[bool, bool]]:
-    """(type1, type2) per step: weight y q^h resp. q^(h-1) at starting height h."""
-    out = []
+def history_type_flags(steps: tuple[LaguerreStep, ...]) -> tuple[set[int], set[int]]:
+    """Positions, from 1, of the type 1 steps and of the type 2 steps: weight
+    y q^h resp. q^(h-1) at starting height h."""
+    by_type: tuple[set[int], ...] = (set(), set(), set())
     h = 0
-    for d, delta, i in steps:
-        kind = _step_type(delta, i, h)
-        out.append((kind == 1, kind == 2))
+    for k, (d, delta, i) in enumerate(steps, start=1):
+        by_type[_step_type(delta, i, h)].add(k)
         h += _DH[d]
-    return out
+    return by_type[1], by_type[2]
 
 
 def history_json(steps: tuple[LaguerreStep, ...]) -> dict:
@@ -273,10 +273,8 @@ def _q_levels(steps: tuple[Step, ...]) -> int:
     return sum(1 for d, tag in steps if d == LEVEL and tag[0] == "qpow")
 
 
-def is_valid_family_path(steps: tuple[Step, ...], family: str, q_levels: int | None = None) -> bool:
-    return is_motzkin_walk(steps, _family_walk(family)) and (
-        q_levels is None or _q_levels(steps) == q_levels
-    )
+def is_valid_family_path(steps: tuple[Step, ...], family: str) -> bool:
+    return is_motzkin_walk(steps, _family_walk(family))
 
 
 def _enumerate_family(length: int, family: str, q_levels: int | None = None) -> Iterator[tuple[Step, ...]]:

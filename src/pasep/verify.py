@@ -1,10 +1,10 @@
 """Cross-validation suites.
 
-Every check compares two independently computed exact objects and records a
-named pass/fail entry in a VerifyReport.  The CLI `verify` subcommand and
-the acceptance test module both run these functions; the default bounds are
-the desk-scale budgets the suites are pinned at, and a caller-supplied
-max_n only ever lowers them.
+Every check compares independently computed exact objects, case by case, and
+records each case under the check's name in a VerifyReport.  The CLI
+`verify` subcommand and the acceptance test module both run these functions;
+the default bounds are the desk-scale budgets the suites are pinned at, and a
+caller-supplied max_n only ever lowers them.
 """
 
 from __future__ import annotations
@@ -45,13 +45,27 @@ MOMENT_SEED = 20110401
 
 
 class VerifyReport:
+    """The named checks of one suite, each the aggregate of its cases.
+
+    Every check(name, ok, detail) call is one case of the check `name`.  The
+    check enters `checks` at its first case and fails at its first failing
+    case, with that case's detail; later cases of a failed check change
+    nothing.  A name that never gets a case is never recorded, so a check
+    over an empty range does not pass: it does not appear.
+    """
+
     def __init__(self, suite: str):
         self.suite = suite
         self.checks: list[str] = []
         self.failures: list[tuple[str, str]] = []
+        self._passing: dict[str, bool] = {}
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(name)
+        if name not in self._passing:
+            self.checks.append(name)
+        elif not self._passing[name]:
+            return
+        self._passing[name] = ok
         if not ok:
             self.failures.append((name, detail))
 
@@ -138,15 +152,6 @@ def _extrema(sigma: perms.Perm) -> tuple[set[int], set[int], set[int]]:
     return lr_max, rl_min, rl_max
 
 
-def _type_steps(history: tuple[paths.LaguerreStep, ...]) -> tuple[set[int], set[int]]:
-    """Indices, from 1, of the type 1 and the type 2 steps of a history."""
-    flags = paths.history_type_flags(history)
-    return (
-        {k for k, (t1, _) in enumerate(flags, start=1) if t1},
-        {k for k, (_, t2) in enumerate(flags, start=1) if t2},
-    )
-
-
 _DIRECTION = {paths.UP: 0, paths.LEVEL: 1, paths.DOWN: 2}
 
 
@@ -177,9 +182,14 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
     for n in range(cap + 1):
         u_prime_form: Counter = Counter()
         u_prime_forms.append(u_prime_form)
-        fz_ok = fv_ok = True
-        fz_wt = fv_wt = True
-        lem1 = lem2 = lem3 = lem4 = lem5 = True
+        fz_inv, fv_inv = f"FZ round trip and validity, n={n}", f"FV round trip and validity, n={n}"
+        fz_law, fv_law = f"FZ weight law y^wex q^cr, n={n}", f"FV weight law y^asc q^31-2, n={n}"
+        fz_inj, fv_inj = f"FZ injective on S_{n}", f"FV injective on S_{n}"
+        lem1 = f"type-1 steps are the left-to-right maxima, n={n}"
+        lem2 = f"type-2 steps are the non-fixed right-to-left minima, n={n}"
+        lem3 = f"tilde involution preserves (u->u', wex, v, cr), n={n}"
+        lem4 = f"FV type-1 steps are the right-to-left minima, n={n}"
+        lem5 = f"FV type-2-after-type-1 are the right-to-left maxima, n={n}"
         seen_fz: set[int] = set()  # _history_codes: ints, far smaller than the histories
         seen_fv: set[int] = set()
         pending = {}  # sigma -> ((u, wex, v, cr), (u', wex, v, cr)) until tilde(sigma) comes
@@ -188,66 +198,49 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
             u_prime_form[st.wex - 1, st.cr, st.u_prime, st.v] += 1
             hz = bijections.foata_zeilberger(sigma)
             hv = bijections.francon_viennot(sigma)
-            seen_fz.add(_history_code(hz, n))
-            seen_fv.add(_history_code(hv, n))
-            if not _inverts(bijections.foata_zeilberger_inverse, hz, sigma):
-                fz_ok = False
-            if not _inverts(bijections.francon_viennot_inverse, hv, sigma):
-                fv_ok = False
-            if paths.history_exponents(hz) != (st.wex, st.cr):
-                fz_wt = False
-            if paths.history_exponents(hv) != (st.asc, st.p31_2):
-                fv_wt = False
+            rep.check(fz_inv, _inverts(bijections.foata_zeilberger_inverse, hz, sigma))
+            rep.check(fv_inv, _inverts(bijections.francon_viennot_inverse, hv, sigma))
+            rep.check(fz_law, paths.history_exponents(hz) == (st.wex, st.cr))
+            rep.check(fv_law, paths.history_exponents(hv) == (st.asc, st.p31_2))
+            code_z, code_v = _history_code(hz, n), _history_code(hv, n)
+            rep.check(fz_inj, code_z not in seen_fz)
+            rep.check(fv_inj, code_v not in seen_fv)
+            seen_fz.add(code_z)
+            seen_fv.add(code_v)
             lr_max, rl_min, rl_max = _extrema(sigma)
             fixed = {p for p in range(1, n + 1) if sigma[p - 1] == p}
-            t1, t2 = _type_steps(hz)
-            if t1 != lr_max:
-                lem1 = False
-            if t2 - fixed != rl_min - fixed:
-                lem2 = False
+            t1, t2 = paths.history_type_flags(hz)
+            rep.check(lem1, t1 == lr_max)
+            rep.check(lem2, t2 - fixed == rl_min - fixed)
             tl = perms.tilde(sigma)
             keys = (st.u, st.wex, st.v, st.cr), (st.u_prime, st.wex, st.v, st.cr)
             partner = keys if tl == sigma else pending.pop(tl, None)
             if partner is None:
                 pending[sigma] = keys
-            if perms.tilde(tl) != sigma or partner not in (None, keys[::-1]):
-                lem3 = False
-            t1, t2 = _type_steps(hv)
+            rep.check(lem3, perms.tilde(tl) == sigma and partner in (None, keys[::-1]))
+            t1, t2 = paths.history_type_flags(hv)
             inv = perms.inverse(sigma)
-            if t1 != {sigma[p - 1] for p in rl_min}:
-                lem4 = False
+            rep.check(lem4, t1 == {sigma[p - 1] for p in rl_min})
             last1 = max(t1, default=0)
             late2 = {k for k in t2 if k > last1 and inv[k - 1] < n}
-            if late2 != {sigma[p - 1] for p in rl_max if p < n}:
-                lem5 = False
-        rep.check(f"FZ round trip and validity, n={n}", fz_ok)
-        rep.check(f"FV round trip and validity, n={n}", fv_ok)
-        rep.check(f"FZ weight law y^wex q^cr, n={n}", fz_wt)
-        rep.check(f"FV weight law y^asc q^31-2, n={n}", fv_wt)
-        rep.check(f"FZ injective on S_{n}", len(seen_fz) == math.factorial(n))
-        rep.check(f"FV injective on S_{n}", len(seen_fv) == math.factorial(n))
-        rep.check(f"type-1 steps are the left-to-right maxima, n={n}", lem1)
-        rep.check(f"type-2 steps are the non-fixed right-to-left minima, n={n}", lem2)
-        rep.check(f"tilde involution preserves (u->u', wex, v, cr), n={n}", lem3 and not pending)
-        rep.check(f"FV type-1 steps are the right-to-left minima, n={n}", lem4)
-        rep.check(f"FV type-2-after-type-1 are the right-to-left maxima, n={n}", lem5)
+            rep.check(lem5, late2 == {sigma[p - 1] for p in rl_max if p < n})
+        rep.check(lem3, not pending)
     for N in range(cap):
         rep.check_eq(
             f"history route equals the u'-form permutation sum, N={N}",
             MPoly(u_prime_forms[N + 1]),
             paths.zn_histories(N),
         )
-    bic = True
-    for m in range(_cap(8, max_n) + 1):
+    for m in range(1, _cap(8, max_n) + 1):  # the lemma needs m >= 1; () maps to ((), ())
         for steps in bijections.enumerate_bicolor(m):
             d1, d2 = bijections.bicolor_to_dyck_pair(steps)
             nbeta, nalpha = bijections.bicolor_mark_counts(steps)
-            if steps:
-                if len(d1) + len(d2) != 2 * len(steps) - 2:
-                    bic = False
-                if paths.returns(d1) + 1 != nbeta or paths.returns(d2) != nalpha:
-                    bic = False
-    rep.check("bicolor-to-Dyck-pair mark preservation", bic)
+            rep.check(
+                "bicolor-to-Dyck-pair mark preservation",
+                len(d1) + len(d2) == 2 * m - 2
+                and paths.returns(d1) + 1 == nbeta
+                and paths.returns(d2) == nalpha,
+            )
     return rep
 
 
@@ -255,28 +248,21 @@ def decomposition_suite(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("decomposition")
     pair_max = _cap(4, max_n)
     for N in range(pair_max + 1):
-        ok_weight = ok_round = ok_member = True
+        member = f"combine lands in family P, N={N}"
+        weight = f"combine preserves weights, N={N}"
+        round_trip = f"decompose inverts combine, N={N}"
         for n in range(N + 1):
             b_list = list(paths.enumerate_B_star(n))
             for h1 in paths.enumerate_R_star(N, n):
                 w1 = paths.path_weight(h1)
                 for h2 in b_list:
                     p = bijections.combine_paths(h1, h2)
-                    if not paths.is_valid_family_path(p, "P"):
-                        ok_member = False
-                    if paths.path_weight(p) != w1 * paths.path_weight(h2):
-                        ok_weight = False
-                    if bijections.decompose_path(p) != (h1, h2):
-                        ok_round = False
-        rep.check(f"combine lands in family P, N={N}", ok_member)
-        rep.check(f"combine preserves weights, N={N}", ok_weight)
-        rep.check(f"decompose inverts combine, N={N}", ok_round)
-        ok_inv = True
+                    rep.check(member, paths.is_valid_family_path(p, "P"))
+                    rep.check(weight, paths.path_weight(p) == w1 * paths.path_weight(h2))
+                    rep.check(round_trip, bijections.decompose_path(p) == (h1, h2))
+        inverse = f"combine inverts decompose, N={N}"
         for p in paths.enumerate_PN(N):
-            h1, h2 = bijections.decompose_path(p)
-            if bijections.combine_paths(h1, h2) != p:
-                ok_inv = False
-        rep.check(f"combine inverts decompose, N={N}", ok_inv)
+            rep.check(inverse, bijections.combine_paths(*bijections.decompose_path(p)) == p)
     for N in range(_cap(6, max_n) + 1):
         total = sum(
             paths.count_family(N, "R*", q_levels=n) * paths.count_family(n, "B*")
@@ -332,7 +318,7 @@ def moment_suite(max_n: int | None = None) -> VerifyReport:
         )
     rng = random.Random(MOMENT_SEED)
     for N in range(_cap(6, max_n) + 1):
-        agree = True
+        agree = f"rational moment evaluation at {MOMENT_POINTS} points, N={N}"
         done = 0
         while done < MOMENT_POINTS:
             a = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
@@ -345,10 +331,8 @@ def moment_suite(max_n: int | None = None) -> VerifyReport:
             except formulas.SingularPoint:
                 continue
             want = eval_rational(closed[N], a=a, b=b, y=1, q=q) / 2**N
-            if got != want:
-                agree = False
+            rep.check(agree, got == want)
             done += 1
-        rep.check(f"rational moment evaluation at {MOMENT_POINTS} points, N={N}", agree)
     return rep
 
 
@@ -391,7 +375,9 @@ def stirling_suite(max_n: int | None = None) -> VerifyReport:
 def eulerian_suite(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("q-eulerian")
     for N in range(_cap(8, max_n) + 1):
-        ok1 = okm1 = ok0 = True
+        eulerian = f"q=1 gives the Eulerian row, N={N}"
+        binomial_row = f"q=-1 gives the binomial row, N={N}"
+        narayana = f"q=0 gives the Narayana row, N={N}"
         row1 = 0
         row0 = 0
         for k in range(N + 1):
@@ -401,15 +387,9 @@ def eulerian_suite(max_n: int | None = None) -> VerifyReport:
             v0 = substitute(e, "q", ZERO).constant_value()
             row1 += v1
             row0 += v0
-            if v1 != formulas.eulerian_number(N + 1, k + 1):
-                ok1 = False
-            if vm1 != binomial(N, k):
-                okm1 = False
-            if v0 != formulas.narayana_number(N + 1, k + 1):
-                ok0 = False
-        rep.check(f"q=1 gives the Eulerian row, N={N}", ok1)
-        rep.check(f"q=-1 gives the binomial row, N={N}", okm1)
-        rep.check(f"q=0 gives the Narayana row, N={N}", ok0)
+            rep.check(eulerian, v1 == formulas.eulerian_number(N + 1, k + 1))
+            rep.check(binomial_row, vm1 == binomial(N, k))
+            rep.check(narayana, v0 == formulas.narayana_number(N + 1, k + 1))
         rep.check(f"row sums: (N+1)! and Catalan, N={N}",
                   row1 == math.factorial(N + 1) and row0 == formulas.catalan_number(N + 1))
     return rep
@@ -444,14 +424,12 @@ def fine_suite(max_n: int | None = None) -> VerifyReport:
 def identity_suite(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("identities")
     cap = _cap(10, max_n)
-    ok = True
+    name = f"prefix-count binomial identity, N<={cap}"
     for N in range(cap + 1):
         for n in range(N + 1):
             for i in range((N - n) // 2 + 2):
-                if not formulas.idbinl_check(N, n, i):
-                    ok = False
-    rep.check(f"prefix-count binomial identity, N<={cap}", ok)
-    ok = True
+                rep.check(name, formulas.idbinl_check(N, n, i))
+    name = f"M three-term recurrence, k<={cap}"
     for k in range(cap + 1):
         for n in range(1, k + 2):
             if (k - n + 1) % 2:
@@ -459,28 +437,20 @@ def identity_suite(max_n: int | None = None) -> VerifyReport:
             l_hi = (k - n + 1) // 2
             l_lo = (k - n - 1) // 2
             lhs = touchard_M(l_hi, k) + Y * (ONE - monomial(1, eq=n + 1)) * touchard_M(l_lo, k)
-            if lhs != touchard_M(l_hi, k + 1):
-                ok = False
-    rep.check(f"M three-term recurrence, k<={cap}", ok)
+            rep.check(name, lhs == touchard_M(l_hi, k + 1))
     qcap = _cap(8, max_n)
-    ok = True
+    name = f"q-binomial lemmas, m<={qcap}"
     for m in range(1, qcap + 1):
         for l in range(2 * m + 1):
-            if not formulas.qbinom_lemma_lower(m, l):
-                ok = False
+            rep.check(name, formulas.qbinom_lemma_lower(m, l))
         for l in range(1, 2 * m + 1):
-            if not formulas.qbinom_lemma_upper(m, l):
-                ok = False
-    rep.check(f"q-binomial lemmas, m<={qcap}", ok)
-    ok = True
-    for k in range(cap + 1):
-        d = ansatz.hatted_coeffs(k)
+            rep.check(name, formulas.qbinom_lemma_upper(m, l))
+    name = f"hatted recurrence equals closed form, k<={cap}"
+    for k, d in enumerate(ansatz.hatted_coeffs(cap) if cap >= 0 else []):
         for i in range(k + 1):
             for j in range(k + 1):
-                if d.get((i, j), ZERO) != ansatz.hatted_closed_form(k, i, j):
-                    ok = False
-    rep.check(f"hatted recurrence equals closed form, k<={cap}", ok)
-    ok = True
+                rep.check(name, d.get((i, j), ZERO) == ansatz.hatted_closed_form(k, i, j))
+    name = "hatted splitting identities"
     for k in range(_cap(8, max_n) + 1):
         for i in range(k + 2):
             for j in range(k + 2):
@@ -490,8 +460,7 @@ def identity_suite(max_n: int | None = None) -> VerifyReport:
                 e_up = ansatz.hatted_closed_form(k, i - 1, j) if i >= 1 else ZERO
                 lhs = e_left + monomial(1, eq=j) * e_up
                 rhs = q_binomial(i + j, i) * touchard_M((k - i - j + 1) // 2, k)
-                if lhs != rhs:
-                    ok = False
+                rep.check(name, lhs == rhs)
                 lhs2 = Y * (ONE - monomial(1, eq=j + 1)) * ansatz.hatted_closed_form(k, i, j + 1)
                 low = (k - i - j - 1) // 2
                 rhs2 = (
@@ -500,9 +469,7 @@ def identity_suite(max_n: int | None = None) -> VerifyReport:
                     * q_binomial(i + j, i)
                     * (touchard_M(low, k) if low >= 0 else ZERO)
                 )
-                if lhs2 != rhs2:
-                    ok = False
-    rep.check("hatted splitting identities", ok)
+                rep.check(name, lhs2 == rhs2)
     return rep
 
 

@@ -131,14 +131,15 @@ def test_normal_order_nonnegative_and_assembles():
 
 
 def test_hatted_base_cases():
-    assert hatted_coeffs(0) == {(0, 0): ONE}
-    d1 = hatted_coeffs(1)
-    assert d1 == {(0, 1): ONE, (1, 0): ONE}
+    assert hatted_coeffs(0) == [{(0, 0): ONE}]
+    assert hatted_coeffs(1) == [{(0, 0): ONE}, {(0, 1): ONE, (1, 0): ONE}]
 
 
 def test_hatted_closed_form_matches_recurrence():
-    for k in range(9):
-        d = hatted_coeffs(k)
+    ds = hatted_coeffs(8)
+    assert len(ds) == 9
+    for k, d in enumerate(ds):
+        assert hatted_coeffs(k) == ds[: k + 1]
         for i in range(k + 1):
             for j in range(k + 1):
                 assert d.get((i, j), ZERO) == hatted_closed_form(k, i, j), (k, i, j)

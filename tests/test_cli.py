@@ -216,6 +216,21 @@ def test_verify_all_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
+def test_verify_over_empty_ranges_prints_no_check(capsys):
+    # a check is printed only when it has a case: at --max-n -3 only the
+    # fixed list of printed Fine polynomials is left
+    assert run(["verify", "--suite", "all", "--max-n", "-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"ok    [fine] printed F_{n}" for n in range(1, 7)] + [
+        "suite all: 6 checks, 0 failures"
+    ]
+    # m = 0 has neither a q-binomial lemma nor a bicolor path with a Dyck pair
+    assert run(["verify", "--suite", "all", "--max-n", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "q-binomial lemmas" not in out and "bicolor" not in out
+    assert out.endswith("suite all: 63 checks, 0 failures\n")
+
+
 def test_verify_symmetry(capsys):
     assert run(["verify", "--suite", "symmetry", "--max-n", "4"]) == 0
     out = capsys.readouterr().out

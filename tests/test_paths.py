@@ -90,25 +90,28 @@ def test_history_weight_figure():
 
 
 def test_history_type_flags():
-    flags = history_type_flags(FIG1_HISTORY)
+    type1, type2 = history_type_flags(FIG1_HISTORY)
     # first step of any nonempty history is type 1; the figure's permutation
     # has 4 left-to-right maxima, hence 4 type-1 steps
-    assert flags[0][0]
-    assert sum(1 for t1, _ in flags if t1) == 4
-    assert sum(1 for _, t2 in flags if t2) == 2
+    assert 1 in type1
+    assert len(type1) == 4
+    assert len(type2) == 2
+    assert history_type_flags(()) == (set(), set())
 
 
 def test_history_key_matches_type_flags():
     # type 1: weight y q^h at starting height h; type 2: weight q^(h-1)
     for N in range(6):
         for steps in enumerate_laguerre(N + 1):
-            flags, h = [], 0
-            for d, delta, i in steps:
-                flags.append((delta == 1 and i == h, delta == 0 and i == h - 1))
+            type1, type2, h = [], [], 0
+            for k, (d, delta, i) in enumerate(steps, start=1):
+                if delta == 1 and i == h:
+                    type1.append(k)
+                if delta == 0 and i == h - 1:
+                    type2.append(k)
                 h += {UP: 1, LEVEL: 0, DOWN: -1}[d]
-            assert history_type_flags(steps) == flags
-            type1 = [k for k, (t1, _) in enumerate(flags) if t1]
-            late2 = sum(1 for k, (_, t2) in enumerate(flags) if t2 and k > type1[-1])
+            assert history_type_flags(steps) == (set(type1), set(type2))
+            late2 = sum(1 for k in type2 if k > type1[-1])
             ey = sum(delta for _, delta, _ in steps)
             eq = sum(i for _, _, i in steps)
             assert _history_key(steps) == (ey, eq, late2, len(type1) - 1), steps
@@ -158,7 +161,7 @@ def test_starred_enumerations_refine_sums():
         for n in range(N + 1):
             total = ZERO
             for p in enumerate_R_star(N, n):
-                assert is_valid_family_path(p, "R*", q_levels=n)
+                assert is_valid_family_path(p, "R*") and _q_levels(p) == n
                 total = total + path_weight(p)
             assert total == sum_R(N, n)
     for n in range(5):

@@ -27,6 +27,33 @@ def test_check_eq_records_rendered_detail_only_on_failure(monkeypatch):
     assert not rep.ok
 
 
+def test_a_check_is_its_name_and_every_case_under_it():
+    rep = verify.VerifyReport("demo")
+    for case in range(4):
+        rep.check("first", case != 1, f"case {case}")
+        rep.check("second", True)
+        rep.check("third", case < 2, f"case {case}")
+    assert rep.checks == ["first", "second", "third"]
+    assert rep.failures == [("first", "case 1"), ("third", "case 2")]
+    assert not rep.ok
+
+    rep = verify.VerifyReport("empty")
+    for case in range(0):
+        rep.check("never", False)
+    rep.check("later", True)
+    assert rep.checks == ["later"] and rep.ok
+
+
+def test_one_failing_case_fails_only_its_check(monkeypatch):
+    real = verify.formulas.qbinom_lemma_upper
+    monkeypatch.setattr(
+        verify.formulas, "qbinom_lemma_upper", lambda m, l: (m, l) != (5, 7) and real(m, l)
+    )
+    rep = verify.identity_suite()
+    assert "q-binomial lemmas, m<=8" in rep.checks
+    assert rep.failures == [("q-binomial lemmas, m<=8", "")]
+
+
 def test_verify_and_the_cli_share_one_route_table():
     assert pasep.METHODS is verify.METHODS
     assert len(pasep.METHODS) == 9
@@ -79,6 +106,8 @@ def test_bad_history_image_fails_its_round_trip_check(monkeypatch, name):
     prefix = "FZ" if name == "foata_zeilberger" else "FV"
     assert {f"{prefix} round trip and validity, n={n}" for n in (1, 2)} <= failed
     assert f"{prefix} round trip and validity, n=0" not in failed
+    # both permutations of S_2 get the same image
+    assert f"{prefix} injective on S_2" in failed and f"{prefix} injective on S_1" not in failed
 
 
 def test_wrong_history_weight_fails_both_weight_laws(monkeypatch):
