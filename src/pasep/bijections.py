@@ -27,12 +27,16 @@ Two classical insertion bijections are implemented with explicit inverses:
   (up), "k" (down), "k slot" (level, delta=1) or "slot k" (level, delta=0);
   the final leftover slot sits at the right end and is dropped.
 
-Both inverses raise ValueError for a sequence that is_valid_history
-rejects.
+Both forward maps count their labels by popcounts over int masks of
+values (bit v for the value v), in one pass over sigma; the per-step scans
+they replace are kept in the tests as the definition.  The mask of all of
+sigma's values must be (2 << n) - 2, so both raise ValueError for a sequence
+that is not a permutation of {1..n}, and both inverses raise ValueError for
+a sequence that is_valid_history rejects.
 
 The step-type lemmas, which place the type 1 and type 2 steps of both
-histories at extrema of sigma, are checked as position sets in
-verify.bijection_suite.
+histories at extrema of sigma, are checked as equalities of masks of
+positions and values in verify.bijection_suite.
 
 The third bijection combines a length-N path of family R* with n q-power
 level steps and a length-n path of family B* into a path of family P
@@ -56,7 +60,7 @@ from .paths import (
     DOWN, LEVEL, UP, LaguerreStep, LengthMismatch, Step, _DH, _q_levels, is_motzkin_walk,
     is_valid_family_path, is_valid_history, motzkin_walks,
 )
-from .perms import Perm, inverse
+from .perms import Perm
 
 
 # ---------------------------------------------------------------------------
@@ -64,25 +68,38 @@ from .perms import Perm, inverse
 # ---------------------------------------------------------------------------
 
 
+def _value_mask(sigma: Perm) -> int:
+    """The mask of sigma's values, bit v for the value v: (2 << n) - 2 for a
+    permutation of {1..n}, which is checked; ValueError for anything else."""
+    mask = 0
+    for v in sigma:
+        mask |= 1 << v
+    if mask != (2 << len(sigma)) - 2:
+        raise ValueError(f"not a permutation: {sigma!r}")
+    return mask
+
+
 def foata_zeilberger(sigma: Perm) -> tuple[LaguerreStep, ...]:
-    n = len(sigma)
-    inv = inverse(sigma)
+    """The Laguerre history of sigma; ValueError unless sigma is a permutation.
+
+    before is the mask of the values at positions left of i, so the arrow at
+    i nests under one arrow per value of before in [i, sigma(i)) when
+    i <= sigma(i), and per value right of i in (sigma(i), i) otherwise; and
+    the arrow into i comes from the left iff the value i is in before.
+    """
+    full = _value_mask(sigma)
+    before = 0
     steps: list[LaguerreStep] = []
-    for i in range(1, n + 1):
-        si = sigma[i - 1]
-        pre = inv[i - 1]
-        if pre > i and si > i:
-            d = UP
-        elif pre < i and si < i:
-            d = DOWN
-        else:
-            d = LEVEL
+    for i, si in enumerate(sigma, start=1):
+        bit = 1 << si
+        from_left = before >> i & 1
         if i <= si:
-            j = sum(1 for k in range(1, i) if i <= sigma[k - 1] < si)
-            steps.append((d, 1, j))
+            j = (before & (bit - (1 << i))).bit_count()
+            steps.append((UP if i < si and not from_left else LEVEL, 1, j))
         else:
-            j = sum(1 for k in range(i + 1, n + 1) if si < sigma[k - 1] < i)
-            steps.append((d, 0, j))
+            j = ((full ^ before ^ bit) & ((1 << i) - (bit << 1))).bit_count()
+            steps.append((DOWN if from_left else LEVEL, 0, j))
+        before |= bit
     return tuple(steps)
 
 
@@ -126,22 +143,31 @@ def foata_zeilberger_inverse(history: tuple[LaguerreStep, ...]) -> Perm:
 
 
 def francon_viennot(sigma: Perm) -> tuple[LaguerreStep, ...]:
+    """The Laguerre history of sigma; ValueError unless sigma is a permutation.
+
+    One left-to-right pass that fills in the step of each value k where k
+    stands.  k's label i counts the descents x > z that end left of k and
+    straddle it, z < k < x.  lows and highs are the masks of the bottoms z
+    and the tops x of the descents that end left of k; a descent whose top
+    is below k has its bottom below k too, and k tops none of them, so
+    i = #(lows below k) - #(highs below k).
+    """
     n = len(sigma)
-    inv = inverse(sigma)
-    steps: list[LaguerreStep] = []
-    for k in range(1, n + 1):
-        j = inv[k - 1]
-        left = sigma[j - 2] if j >= 2 else 0
-        right = sigma[j] if j <= n - 1 else n + 1
-        if left > k < right:
-            d = UP
-        elif left < k > right:
-            d = DOWN
+    _value_mask(sigma)
+    steps: list[LaguerreStep] = [(LEVEL, 0, 0)] * n
+    lows = highs = 0
+    left = 0
+    for k, right in zip(sigma, (*sigma[1:], n + 1)):
+        below = (1 << k) - 1
+        i = (lows & below).bit_count() - (highs & below).bit_count()
+        if k < right:
+            steps[k - 1] = (UP if left > k else LEVEL, 1, i)
         else:
-            d = LEVEL
-        delta = 1 if k < right else 0
-        i31 = sum(1 for i in range(1, j - 1) if sigma[i] < k < sigma[i - 1])
-        steps.append((d, delta, i31))
+            steps[k - 1] = (DOWN if left < k else LEVEL, 0, i)
+        if left > k:
+            lows |= 1 << k
+            highs |= 1 << left
+        left = k
     return tuple(steps)
 
 
@@ -152,11 +178,13 @@ def francon_viennot_inverse(history: tuple[LaguerreStep, ...]) -> Perm:
     _check_history(history)
     word: list[int] = [_SLOT]
     for k, (d, delta, i) in enumerate(history, start=1):
-        pos = [idx for idx, x in enumerate(word) if x == _SLOT][i]
+        pos = word.index(_SLOT)
+        for _ in range(i):
+            pos = word.index(_SLOT, pos + 1)
         if d == UP:
             word[pos : pos + 1] = [_SLOT, k, _SLOT]
         elif d == DOWN:
-            word[pos : pos + 1] = [k]
+            word[pos] = k
         elif delta == 1:
             word[pos : pos + 1] = [k, _SLOT]
         else:

@@ -151,6 +151,10 @@ SPECIALS = {
 
 
 def _cmd_special(args) -> int:
+    # S2[n, k] is tabled for 1 <= k <= n, so n = 0 would print an empty table
+    if args.what == "q-stirling" and args.n == 0:
+        print("error: special --what q-stirling needs --n >= 1", file=sys.stderr)
+        return EXIT_USAGE
     for line in SPECIALS[args.what](args.n):
         print(line)
     return 0

@@ -7,8 +7,9 @@ Three layers live here:
   (up: delta=1, i<=h;  level: delta=1, i<=h or delta=0, i<=h-1;
   down: delta=0, i<=h-1).  The step weight is y^delta q^i.  A step of
   weight y q^h is called type 1, one of weight q^(h-1) type 2 (both
-  defined once, in _step_type); zn_histories keys each history in one
-  pass by _history_key.
+  defined once, in _history_scan).  history_type_flags returns them as
+  masks of step positions, and zn_histories keys each history by one
+  _history_scan in _history_key.
 
 * The transfer-matrix path families P, R, R*, B, B*.  Steps are pairs
   (direction, tag) where the tag names one symbolic weight alternative;
@@ -46,13 +47,15 @@ P/R*/B*, Dyck and bicolor paths) is enumerated by motzkin_walks with the
 same pruning, which joins each listed prefix of the first half of the
 steps to each listed suffix of the second half, and histories, family
 paths and bicolor paths are checked by is_motzkin_walk; both read the
-steps allowed at each height from one options function per kind of path.
+steps allowed at each height from one options function per kind of path,
+made once (each family's in _FAMILY_WALKS), and is_motzkin_walk looks each
+step up in that function's label -> dh table for the height, built once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .polyring import (
@@ -90,9 +93,6 @@ class LengthMismatch(ValueError):
 LaguerreStep = tuple[str, int, int]  # (direction, delta, i)
 
 
-# Cached because is_valid_history asks for them at every step; one entry
-# per height, and a history of n steps never climbs above n // 2.
-@lru_cache(maxsize=None)
 def _laguerre_options(h: int) -> tuple[tuple[LaguerreStep, int], ...]:
     return (
         *[((UP, 1, i), 1) for i in range(h + 1)],
@@ -121,21 +121,30 @@ def history_weight(steps: tuple[LaguerreStep, ...]) -> MPoly:
     return monomial(1, *history_exponents(steps))
 
 
-def _step_type(delta: int, i: int, h: int) -> int:
-    """1 for a type 1 step (weight y q^h at starting height h), 2 for a type 2
-    step (weight q^(h-1)), else 0: the steps carrying the top label at h."""
-    return 2 - delta if i - delta == h - 1 else 0
-
-
-def history_type_flags(steps: tuple[LaguerreStep, ...]) -> tuple[set[int], set[int]]:
-    """Positions, from 1, of the type 1 steps and of the type 2 steps: weight
-    y q^h resp. q^(h-1) at starting height h."""
-    by_type: tuple[set[int], ...] = (set(), set(), set())
-    h = 0
-    for k, (d, delta, i) in enumerate(steps, start=1):
-        by_type[_step_type(delta, i, h)].add(k)
+def _history_scan(steps: tuple[LaguerreStep, ...]) -> tuple[int, int, int, int]:
+    """(sum of delta, sum of i, type 1 mask, type 2 mask) in one pass.  Bit k
+    of a mask marks the k-th step, counted from 1.  A step from height h is
+    type 1 when its weight is y q^h and type 2 when it is q^(h-1): the steps
+    carrying the top label at h."""
+    ey = eq = type1 = type2 = h = 0
+    bit = 2
+    for d, delta, i in steps:
+        ey += delta
+        eq += i
+        if i - delta == h - 1:
+            if delta:
+                type1 |= bit
+            else:
+                type2 |= bit
         h += _DH[d]
-    return by_type[1], by_type[2]
+        bit <<= 1
+    return ey, eq, type1, type2
+
+
+def history_type_flags(steps: tuple[LaguerreStep, ...]) -> tuple[int, int]:
+    """Masks of the type 1 steps and of the type 2 steps: bit k for the k-th
+    step, counted from 1, of weight y q^h resp. q^(h-1) at starting height h."""
+    return _history_scan(steps)[2:]
 
 
 def history_json(steps: tuple[LaguerreStep, ...]) -> dict:
@@ -147,20 +156,10 @@ def history_json(steps: tuple[LaguerreStep, ...]) -> dict:
 
 
 def _history_key(steps: tuple[LaguerreStep, ...]) -> tuple[int, int, int, int]:
-    """(ey, eq, type 2 steps right of every type 1 step, type 1 steps - 1) in
-    one pass; every nonempty history opens with a type 1 step."""
-    ey = eq = type1 = late2 = h = 0
-    for d, delta, i in steps:
-        ey += delta
-        eq += i
-        kind = _step_type(delta, i, h)
-        if kind == 1:
-            type1 += 1
-            late2 = 0
-        elif kind == 2:
-            late2 += 1
-        h += _DH[d]
-    return ey, eq, late2, type1 - 1
+    """(ey, eq, type 2 steps right of every type 1 step, type 1 steps - 1)
+    from one _history_scan; every nonempty history opens with a type 1 step."""
+    ey, eq, type1, type2 = _history_scan(steps)
+    return ey, eq, (type2 >> type1.bit_length()).bit_count(), type1.bit_count() - 1
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +263,18 @@ def _tags(kinds: tuple[str, ...], h: int) -> list[tuple]:
     return out
 
 
+def _family_options(kinds: dict[str, tuple[str, ...]], h: int) -> list[tuple[Step, int]]:
+    return [((d, tag), dh) for d, dh in _DH.items() for tag in _tags(kinds[d], h)]
+
+
+# One options function per family, made once, so that is_motzkin_walk's
+# per-height step tables are built once per family and height.
+_FAMILY_WALKS = {name: partial(_family_options, kinds) for name, kinds in _FAMILIES.items()}
+
+
 def _family_walk(family: str) -> Options:
-    kinds = _family(family)
-    return lambda h: [((d, tag), dh) for d, dh in _DH.items() for tag in _tags(kinds[d], h)]
+    _family(family)
+    return _FAMILY_WALKS[family]
 
 
 def _q_levels(steps: tuple[Step, ...]) -> int:
@@ -395,15 +403,26 @@ def _join_halves(N: int, options: Options) -> Iterator[tuple]:
             yield p + t
 
 
+# One label -> dh table per options function and height, built on first use.
+# Every options function in the package is made once at module level, so this
+# holds one table per kind of path and height that a checked path reached.
+@lru_cache(maxsize=None)
+def _step_table(options: Options, h: int) -> dict:
+    return dict(options(h))
+
+
 def is_motzkin_walk(steps: Iterable, options: Options) -> bool:
     """True when each step is among options(h) at the height h it starts
-    from, the height never goes below 0, and the path ends at 0."""
+    from, the height never goes below 0, and the path ends at 0.  A step
+    that cannot be a label (an unhashable one) makes it False too."""
     h = 0
     for label in steps:
-        for allowed, dh in options(h):
-            if allowed == label:
-                break
-        else:
+        table = _step_table(options, h)
+        try:
+            dh = table.get(label)
+        except TypeError:
+            return False
+        if dh is None:
             return False
         h += dh
         if h < 0:

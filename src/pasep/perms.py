@@ -18,7 +18,12 @@ interpretations of the partition function track:
 stats computes all nine by direct definition and is the reference for
 them.  Each permutation route reads four: zn_perm_asc312 keys every
 permutation by _asc312_key, which computes only (asc, 31-2, s, t) in one
-function, while zn_perm_wexcr stays on stats (see its comment).
+right-to-left pass and counts 31-2 patterns by popcount over a mask of the
+values to the right, while zn_perm_wexcr stays on stats (see its comment).
+stats, p31_2 and enumerate_permutations keep their plain scans on purpose:
+they are the definitions the faster kernels here and in bijections are
+tested against, and `zn --n 6 --method perm-wex`, the job during which the
+benchmark's self-test samples the host speed, runs on exactly them.
 
 alternating_E counts 31-2 patterns on down-up permutations without listing
 them, by a DP over standardized prefix states, one position at a time.
@@ -169,18 +174,30 @@ def zn_perm_wexcr(N: int) -> MPoly:
 
 def _asc312_key(sigma: Perm) -> Exponent:
     """(asc - 1, 31-2, s - 1, t - 1) of a nonempty permutation, the monomial
-    y^(asc-1) q^(31-2) a^(s-1) b^(t-1); equal to those fields of stats."""
-    rises = sum(1 for x, z in zip(sigma, sigma[1:]) if x < z)  # asc - 1
-    s = t = 0
+    y^(asc-1) q^(31-2) a^(s-1) b^(t-1); equal to those fields of stats.
+
+    One right-to-left pass over the adjacent pairs (x, z).  right is the mask
+    (bit v for value v) of the values right of z, so a descent x > z is the
+    31 of one 31-2 pattern per set bit strictly between z and x.
+    """
+    rises = p312 = s = t = 0
+    right = 0
     lo, hi = len(sigma) + 1, 0
-    for v in reversed(sigma):
-        if v < lo:
+    z = 0  # the value right of x; 0 for the last value, and bit 0 is never read
+    for x in reversed(sigma):
+        if x < lo:
             t += 1
-            lo = v
-        if v > hi:
+            lo = x
+        if x > hi:
             s += 1
-            hi = v
-    return rises, p31_2(sigma), s - 1, t - 1
+            hi = x
+        if x < z:
+            rises += 1
+        elif z:
+            p312 += (right & ((1 << x) - (2 << z))).bit_count()
+        right |= 1 << z
+        z = x
+    return rises, p312, s - 1, t - 1
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,11 @@ records each case under the check's name in a VerifyReport.  The CLI
 `verify` subcommand and the acceptance test module both run these functions;
 the default bounds are the desk-scale budgets the suites are pinned at, and a
 caller-supplied max_n only ever lowers them.
+
+bijection_suite checks the step-type lemmas as equalities of int masks: bit
+k of history_type_flags marks the k-th step, which stands for the position k
+under Foata-Zeilberger and for the value k under Francon-Viennot, and
+_extrema returns the matching masks of sigma's extrema by position or value.
 """
 
 from __future__ import annotations
@@ -131,25 +136,27 @@ def specialization_suite(max_n: int | None = None) -> VerifyReport:
     return rep
 
 
-def _extrema(sigma: perms.Perm) -> tuple[set[int], set[int], set[int]]:
-    """Positions, from 1, of the left-to-right maxima, the right-to-left
-    minima and the right-to-left maxima of sigma."""
-    lr_max, rl_min, rl_max = set(), set(), set()
+def _extrema(sigma: perms.Perm) -> tuple[int, int, int, int]:
+    """Masks of the left-to-right maxima of sigma by position, of its
+    right-to-left minima by position and by value, and of its right-to-left
+    maxima by value: bit p for the position p, from 1, bit v for the value v."""
+    lr_max = rl_min = rl_min_values = rl_max_values = 0
     top = 0
     for p, v in enumerate(sigma, start=1):
         if v > top:
             top = v
-            lr_max.add(p)
+            lr_max |= 1 << p
     low, high = len(sigma) + 1, 0
     for p in range(len(sigma), 0, -1):
         v = sigma[p - 1]
         if v < low:
             low = v
-            rl_min.add(p)
+            rl_min |= 1 << p
+            rl_min_values |= 1 << v
         if v > high:
             high = v
-            rl_max.add(p)
-    return lr_max, rl_min, rl_max
+            rl_max_values |= 1 << v
+    return lr_max, rl_min, rl_min_values, rl_max_values
 
 
 _DIRECTION = {paths.UP: 0, paths.LEVEL: 1, paths.DOWN: 2}
@@ -207,11 +214,12 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
             rep.check(fv_inj, code_v not in seen_fv)
             seen_fz.add(code_z)
             seen_fv.add(code_v)
-            lr_max, rl_min, rl_max = _extrema(sigma)
-            fixed = {p for p in range(1, n + 1) if sigma[p - 1] == p}
+            # a | b == c | b says that the masks a and c agree off the bits of b
+            lr_max, rl_min, rl_min_values, rl_max_values = _extrema(sigma)
+            fixed = sum(1 << p for p, v in enumerate(sigma, start=1) if v == p)
             t1, t2 = paths.history_type_flags(hz)
             rep.check(lem1, t1 == lr_max)
-            rep.check(lem2, t2 - fixed == rl_min - fixed)
+            rep.check(lem2, t2 | fixed == rl_min | fixed)
             tl = perms.tilde(sigma)
             keys = (st.u, st.wex, st.v, st.cr), (st.u_prime, st.wex, st.v, st.cr)
             partner = keys if tl == sigma else pending.pop(tl, None)
@@ -219,11 +227,10 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
                 pending[sigma] = keys
             rep.check(lem3, perms.tilde(tl) == sigma and partner in (None, keys[::-1]))
             t1, t2 = paths.history_type_flags(hv)
-            inv = perms.inverse(sigma)
-            rep.check(lem4, t1 == {sigma[p - 1] for p in rl_min})
-            last1 = max(t1, default=0)
-            late2 = {k for k in t2 if k > last1 and inv[k - 1] < n}
-            rep.check(lem5, late2 == {sigma[p - 1] for p in rl_max if p < n})
+            rep.check(lem4, t1 == rl_min_values)
+            late2 = t2 >> t1.bit_length() << t1.bit_length()
+            last = 1 << sigma[-1] if n else 0  # the value at position n
+            rep.check(lem5, late2 | last == rl_max_values | last)
         rep.check(lem3, not pending)
     for N in range(cap):
         rep.check_eq(

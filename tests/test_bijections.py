@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -29,7 +30,7 @@ from pasep.paths import (
     path_weight,
     returns,
 )
-from pasep.perms import enumerate_permutations, stats
+from pasep.perms import enumerate_permutations, inverse, stats
 from pasep.polyring import monomial
 
 FIG1_PERM = (6, 7, 2, 5, 8, 1, 4, 9, 3)
@@ -43,6 +44,56 @@ FIG3_HISTORY = (
     (DOWN, 0, 1), (DOWN, 0, 0),
 )
 FIG4_PERM = (8, 1, 2, 5, 6, 3, 9, 7, 4)
+
+
+def _fz_by_scan(sigma):
+    """Foata-Zeilberger labels by their definition, one scan per step."""
+    n = len(sigma)
+    inv = inverse(sigma)
+    steps = []
+    for i in range(1, n + 1):
+        si, pre = sigma[i - 1], inv[i - 1]
+        d = UP if pre > i and si > i else DOWN if pre < i and si < i else LEVEL
+        if i <= si:
+            steps.append((d, 1, sum(1 for k in range(1, i) if i <= sigma[k - 1] < si)))
+        else:
+            steps.append((d, 0, sum(1 for k in range(i + 1, n + 1) if si < sigma[k - 1] < i)))
+    return tuple(steps)
+
+
+def _fv_by_scan(sigma):
+    """Francon-Viennot labels by their definition, one scan per value."""
+    n = len(sigma)
+    inv = inverse(sigma)
+    steps = []
+    for k in range(1, n + 1):
+        j = inv[k - 1]
+        left = sigma[j - 2] if j >= 2 else 0
+        right = sigma[j] if j <= n - 1 else n + 1
+        d = UP if left > k < right else DOWN if left < k > right else LEVEL
+        i31 = sum(1 for i in range(1, j - 1) if sigma[i] < k < sigma[i - 1])
+        steps.append((d, 1 if k < right else 0, i31))
+    return tuple(steps)
+
+
+def _sample_permutations():
+    """Every permutation of up to 7 letters, then seeded random ones up to 30."""
+    rng = random.Random(26)
+    yield from (s for n in range(8) for s in enumerate_permutations(n))
+    yield from (tuple(rng.sample(range(1, n + 1), n)) for n in range(8, 31) for _ in range(40))
+
+
+def test_fz_and_fv_labels_match_their_per_step_scans():
+    for sigma in _sample_permutations():
+        assert foata_zeilberger(sigma) == _fz_by_scan(sigma), sigma
+        assert francon_viennot(sigma) == _fv_by_scan(sigma), sigma
+
+
+@pytest.mark.parametrize("bijection", [foata_zeilberger, francon_viennot])
+@pytest.mark.parametrize("sigma", [(1, 1), (2, 3), (0, 1), (1, 2, 2), (2,), (1, 3, 2, 5)])
+def test_bijections_reject_non_permutations(bijection, sigma):
+    with pytest.raises(ValueError, match="not a permutation"):
+        bijection(sigma)
 
 
 def test_fz_reproduces_crossing_figure():
@@ -84,8 +135,8 @@ def test_fv_large_figure():
     assert history_weight(h) == monomial(1, ey=5, eq=7)
     assert (st.s, st.t, st.asc, st.p31_2) == (3, 4, 5, 7)
     type1, type2 = history_type_flags(h)
-    assert len(type1) == 4
-    assert sum(k > max(type1) for k in type2) == 2
+    assert type1.bit_count() == 4
+    assert (type2 >> type1.bit_length()).bit_count() == 2
     assert francon_viennot_inverse(h) == FIG4_PERM
 
 
@@ -254,6 +305,7 @@ def test_bicolor_mark_preservation():
         pytest.param(is_valid_bicolor, ((UP, LEVEL),), id="bicolor-ends-above-0"),
         pytest.param(is_valid_bicolor, ((L2,),), id="bicolor-L2-at-0"),
         pytest.param(is_valid_bicolor, ((UP, DOWN, L2),), id="bicolor-L2-back-at-0"),
+        pytest.param(is_valid_history, ([[UP, 1, 0], [DOWN, 0, 0]],), id="history-unhashable-steps"),
     ],
 )
 def test_validators_reject_invalid_paths(check, args):

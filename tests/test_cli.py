@@ -188,6 +188,13 @@ def test_special_q_stirling(capsys):
     assert "q^2 + 3*q + 3" in out
 
 
+def test_special_q_stirling_at_n_0_is_a_usage_error(capsys):
+    assert run(["special", "--what", "q-stirling", "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "q-stirling" in captured.err
+
+
 def test_special_tangent_secant(capsys):
     assert run(["special", "--what", "tangent-secant", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "q + 1"

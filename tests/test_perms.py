@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -54,10 +55,12 @@ def test_p31_2_matches_the_definition():
 
 
 def test_asc312_key_matches_stats():
-    for n in range(1, 8):
-        for sigma in enumerate_permutations(n):
-            st = stats(sigma)
-            assert _asc312_key(sigma) == (st.asc - 1, st.p31_2, st.s - 1, st.t - 1), sigma
+    # exhaustive up to 7 letters, then seeded random permutations up to 30
+    rng = random.Random(26)
+    sampled = [tuple(rng.sample(range(1, n + 1), n)) for n in range(8, 31) for _ in range(40)]
+    for sigma in [*(s for n in range(1, 8) for s in enumerate_permutations(n)), *sampled]:
+        st = stats(sigma)
+        assert _asc312_key(sigma) == (st.asc - 1, st.p31_2, st.s - 1, st.t - 1), sigma
 
 
 def test_stats_identity_permutation():

@@ -46,6 +46,7 @@ ALLOWED = {
     "paths.peaks",
     "perms.enumerate_alternating",
     "perms.enumerate_alternating.rec",
+    "perms.inverse",  # the per-step FZ and FV scans in the tests read it
     "polyring.parse_poly",  # documented inverse of the canonical format
     "polyring.MPoly.num_terms",  # read by the benchmark tracer
     "polyring.MPoly.deg",  # used by the y_reflect property test

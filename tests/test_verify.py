@@ -4,7 +4,8 @@ import pytest
 
 import pasep
 import pasep.verify as verify
-from pasep.paths import DOWN, enumerate_laguerre
+from pasep.paths import DOWN, LEVEL, UP, enumerate_laguerre
+from pasep.perms import enumerate_permutations
 from pasep.polyring import ONE, Y, canonical_string
 
 
@@ -126,3 +127,68 @@ def test_history_code_is_injective_on_laguerre_histories():
         histories = [h for m in range(n + 1) for h in enumerate_laguerre(m)]
         assert len(set(histories)) == len(histories)
         assert len({verify._history_code(h, n) for h in histories}) == len(histories)
+
+
+def _mask(bits):
+    return sum(1 << b for b in bits)
+
+
+def test_extrema_masks_match_their_set_definitions():
+    for n in range(8):
+        for sigma in enumerate_permutations(n):
+            pos = range(1, n + 1)
+            lr_max = [p for p in pos if all(sigma[q - 1] < sigma[p - 1] for q in range(1, p))]
+            rl_min = [p for p in pos if all(sigma[q - 1] > sigma[p - 1] for q in range(p + 1, n + 1))]
+            rl_max = [p for p in pos if all(sigma[q - 1] < sigma[p - 1] for q in range(p + 1, n + 1))]
+            assert verify._extrema(sigma) == (
+                _mask(lr_max),
+                _mask(rl_min),
+                _mask(sigma[p - 1] for p in rl_min),
+                _mask(sigma[p - 1] for p in rl_max),
+            ), sigma
+
+
+def _fv_cover_one_late(sigma):
+    """francon_viennot with each descent counted from one position too late:
+    the value right after a descent's bottom misses that descent."""
+    n = len(sigma)
+    steps = [None] * n
+    lows = highs = 0
+    pending = (0, 0)  # the descent that ends at the left neighbour
+    left = 0
+    for k, right in zip(sigma, (*sigma[1:], n + 1)):
+        below = (1 << k) - 1
+        i = (lows & below).bit_count() - (highs & below).bit_count()
+        if k < right:
+            steps[k - 1] = (UP if left > k else LEVEL, 1, i)
+        else:
+            steps[k - 1] = (DOWN if left < k else LEVEL, 0, i)
+        lows, highs = lows | pending[0], highs | pending[1]
+        pending = (1 << k, 1 << left) if left > k else (0, 0)
+        left = k
+    return tuple(steps)
+
+
+def test_fv_with_a_late_descent_cover_fails_its_law_and_round_trip(monkeypatch):
+    assert verify.bijections.francon_viennot((3, 1, 2))[1] == (LEVEL, 1, 1)
+    assert _fv_cover_one_late((3, 1, 2))[1] == (LEVEL, 1, 0)
+    monkeypatch.setattr(verify.bijections, "francon_viennot", _fv_cover_one_late)
+    failed = {n for n, _ in verify.bijection_suite(max_n=3).failures}
+    assert {"FV weight law y^asc q^31-2, n=3", "FV round trip and validity, n=3"} <= failed
+    assert not any(name.startswith("FZ") for name in failed)
+
+
+def test_type_masks_shifted_by_one_bit_fail_the_lemmas(monkeypatch):
+    real = verify.paths.history_type_flags
+    monkeypatch.setattr(
+        verify.paths, "history_type_flags", lambda steps: tuple(m << 1 for m in real(steps))
+    )
+    failed = {n for n, _ in verify.bijection_suite(max_n=4).failures}
+    lemmas = (
+        "type-1 steps are the left-to-right maxima",
+        "type-2 steps are the non-fixed right-to-left minima",
+        "FV type-1 steps are the right-to-left minima",
+        "FV type-2-after-type-1 are the right-to-left maxima",
+    )
+    assert {f"{lemma}, n={n}" for lemma in lemmas for n in (2, 3, 4)} <= failed
+    assert all(name.startswith(lemmas) for name in failed)
