@@ -176,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_zn = sub.add_parser("zn", help="compute the partition function")
     p_zn.add_argument("--n", type=non_negative_int, required=True)
     p_zn.add_argument("--method", choices=sorted(METHODS), default="closed")
-    p_zn.add_argument("--eval", metavar="a=..,b=..,y=..,q=..", default=None)
+    p_zn.add_argument(
+        "--eval", metavar="a=..,b=..,y=..,q=..", default=None,
+        help="print Z(N) at this rational point; a variable not assigned is 1",
+    )
     p_zn.add_argument("--force", action="store_true")
     p_zn.set_defaults(func=_cmd_zn)
 

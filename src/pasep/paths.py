@@ -45,11 +45,14 @@ above the number of steps left; fine_poly_paths is the same pass with the
 last step in its key.  Every explicit path (Laguerre histories, families
 P/R*/B*, Dyck and bicolor paths) is enumerated by motzkin_walks with the
 same pruning, which joins each listed prefix of the first half of the
-steps to each listed suffix of the second half, and histories, family
-paths and bicolor paths are checked by is_motzkin_walk; both read the
-steps allowed at each height from one options function per kind of path,
-made once (each family's in _FAMILY_WALKS), and is_motzkin_walk looks each
-step up in that function's label -> dh table for the height, built once.
+steps to each listed suffix of the second half, and family, Dyck and
+bicolor paths are checked by is_motzkin_walk; both read the steps allowed
+at each height from one options function per kind of path, made once (each
+family's in _FAMILY_WALKS), and is_motzkin_walk looks each step up in that
+function's label -> dh table for the height, built once.  Laguerre
+histories are checked by is_valid_history against _LAGUERRE_RULE, the rule
+that _laguerre_options lists, because their table at height h would hold
+about 4h labels.
 """
 
 from __future__ import annotations
@@ -93,17 +96,36 @@ class LengthMismatch(ValueError):
 LaguerreStep = tuple[str, int, int]  # (direction, delta, i)
 
 
+# The Laguerre step rule: (direction, delta) -> (dh, slack), where a step
+# from height h carries an i in range(h + slack).  is_valid_history checks a
+# step by it in O(1), where a label table for h would hold about 4h labels.
+_LAGUERRE_RULE = {(UP, 1): (1, 1), (LEVEL, 1): (0, 1), (LEVEL, 0): (0, 0), (DOWN, 0): (-1, 0)}
+
+
 def _laguerre_options(h: int) -> tuple[tuple[LaguerreStep, int], ...]:
-    return (
-        *[((UP, 1, i), 1) for i in range(h + 1)],
-        *[((LEVEL, 1, i), 0) for i in range(h + 1)],
-        *[((LEVEL, 0, i), 0) for i in range(h)],
-        *[((DOWN, 0, i), -1) for i in range(h)],
+    return tuple(
+        ((d, delta, i), dh) for (d, delta), (dh, slack) in _LAGUERRE_RULE.items() for i in range(h + slack)
     )
 
 
 def is_valid_history(steps: tuple[LaguerreStep, ...]) -> bool:
-    return is_motzkin_walk(steps, _laguerre_options)
+    """is_motzkin_walk(steps, _laguerre_options) by _LAGUERRE_RULE: each
+    step must equal one of _laguerre_options(h), as a table lookup finds it."""
+    h = 0
+    for step in steps:
+        if not isinstance(step, tuple):
+            return False
+        try:
+            d, delta, i = step
+            dh, slack = _LAGUERRE_RULE[d, delta]
+        except (ValueError, KeyError, TypeError):  # not 3 items, not a label, unhashable
+            return False
+        top = h + slack
+        # i must equal an int in range(top); an int is compared without a range
+        if not (0 <= i < top if type(i) is int else i in range(top)):
+            return False
+        h += dh
+    return h == 0
 
 
 def enumerate_laguerre(n: int) -> Iterator[tuple[LaguerreStep, ...]]:

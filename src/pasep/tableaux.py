@@ -17,6 +17,13 @@ for row i, top row = bit 0); the 0/1 rows exist only in its JSON form.  The
 generator, the validator and tableau_stats share one mask expression,
 _restricted, for the 0-pattern rule: the restricted 0s of a column miss
 every row with a 1 further left.
+
+enumerate_tableaux is the one producer that skips the validator, because
+its column extension makes each of the validator's tests as it goes: the
+row lengths come from _shapes (weakly decreasing, >= 0, first part the
+number of columns), each column gets one mask in 1..full, the rows that
+reach it, and a mask is taken only when its restricted 0s miss `left`.
+The constructor, _make, _replace and from_json all validate.
 """
 
 from __future__ import annotations
@@ -138,16 +145,27 @@ def _fillings(shape: tuple[int, ...]) -> Iterator[PermutationTableau]:
     # The valid fillings of the first columns, each with `left`, the rows
     # holding a 1 there, extended one column at a time: given `left` the
     # 0-pattern rule is column-local.  Masks go in increasing order, so the
-    # fillings come in lexicographic order of their columns.
+    # fillings come in lexicographic order of their columns.  The last
+    # column is streamed, not listed, and each tableau is built without
+    # the validator, whose every test the extension has already made.
+    fulls = _fulls(shape)
+    if not fulls:  # no column: the one filling is empty
+        yield tuple.__new__(PermutationTableau, (shape, ()))
+        return
+    *fulls, last = fulls
     partial = [((), 0)]
-    for full in _fulls(shape):
+    for full in fulls:
         partial = [
             ((*cols, mask), left | mask)
             for cols, left in partial
             for mask in range(1, full + 1)
             if not _restricted(mask, full) & left
         ]
-    return (PermutationTableau(shape, cols) for cols, _ in partial)
+    masks = [(mask, _restricted(mask, last)) for mask in range(1, last + 1)]
+    for cols, left in partial:
+        for mask, restricted in masks:
+            if not restricted & left:
+                yield tuple.__new__(PermutationTableau, (shape, (*cols, mask)))
 
 
 def enumerate_tableaux(size: int) -> Iterator[PermutationTableau]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -115,6 +116,21 @@ def test_fz_round_trip_exhaustive():
             h = foata_zeilberger(sigma)
             assert is_valid_history(h)
             assert foata_zeilberger_inverse(h) == sigma
+
+
+def test_long_history_is_checked_without_per_height_tables():
+    # this 1000-letter permutation's history climbs to height 252; a
+    # label table per height reached would leave megabytes behind
+    rng = random.Random(1000)
+    h = foata_zeilberger(tuple(rng.sample(range(1, 1001), 1000)))
+    tracemalloc.start()
+    try:
+        assert is_valid_history(h)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2_000_000, kept
+    assert not is_valid_history(h[:-1])
 
 
 def test_fz_weight_law():

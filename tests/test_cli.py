@@ -50,6 +50,15 @@ def test_zn_eval(capsys):
     assert capsys.readouterr().out.strip() == "5/6"
 
 
+def test_zn_eval_sets_unassigned_variables_to_one(capsys):
+    for point in ("a=2/3", "a=2/3,b=1,y=1,q=1"):
+        assert run(["zn", "--n", "3", "--eval", point]) == 0
+    short, full = capsys.readouterr().out.splitlines()
+    assert short == full
+    assert run(["zn", "--n", "3", "--eval", "a=1"]) == 0
+    assert capsys.readouterr().out == "24\n"  # (N+1)! at a = b = y = q = 1
+
+
 # Z(N) at a point with a negative and a zero coordinate, by every route:
 # (N, point) -> the printed value
 EVAL_PINS = {

@@ -1,5 +1,6 @@
 import math
-from collections import Counter
+import random
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -33,6 +34,7 @@ from pasep.paths import (
     history_type_flags,
     history_weight,
     is_fine,
+    is_motzkin_walk,
     is_valid_family_path,
     is_valid_history,
     jfraction_moment,
@@ -82,6 +84,32 @@ def test_histories_are_valid():
     for n in range(6):
         for h in enumerate_laguerre(n):
             assert is_valid_history(h)
+
+
+# labels a table lookup finds by equality (bool, float, a tuple subclass)
+# or cannot hash (list, set), wrong-sized tuples, and a string that unpacks
+# to three letters
+_ODD_STEPS = [
+    (UP, True, 0), (LEVEL, 1.0, 0.0), namedtuple("Step", "d delta i")(UP, 1, 0), (UP, 1, 0.5),
+    (UP, 1, "0"), (UP, 1, [0]), (UP, [1], 0), [UP, 1, 0], {UP, 1, 0},
+    (UP, 1), (UP, 1, 0, 0), "U10", (UP, 1, 10**30),
+]
+_STEPS = [(d, delta, i) for d in (UP, LEVEL, DOWN, "X") for delta in (0, 1, 2) for i in (-1, 0, 1, 2)]
+
+
+def test_history_rule_matches_the_options_table():
+    # is_valid_history checks by rule what is_motzkin_walk checks by table
+    labels = _STEPS + _ODD_STEPS
+    walks = [(a, b) for a in labels for b in labels]
+    rng = random.Random(27)
+    walks += [tuple(rng.choice(labels) for _ in range(rng.randrange(3, 9))) for _ in range(20000)]
+    walks += [h + tail for n in range(6) for h in enumerate_laguerre(n) for tail in [(), *zip(labels)]]
+    accepted = 0
+    for w in walks:
+        want = is_motzkin_walk(w, _laguerre_options)
+        assert is_valid_history(w) is want, w
+        accepted += want
+    assert accepted > 100
 
 
 def test_history_weight_figure():

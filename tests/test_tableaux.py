@@ -1,15 +1,19 @@
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from pasep import tableaux
 from pasep.formulas import q_stirling2
 from pasep.perms import zn_perm_wexcr
 from pasep.polyring import A, B, MPoly, ONE, Y, ZERO, canonical_string, monomial, substitute
 from pasep.qtools import rogers_szego
 from pasep.tableaux import (
     PermutationTableau,
+    _fulls,
     _shapes,
     enumerate_tableaux,
     tableau_stats,
@@ -212,3 +216,53 @@ def test_shapes_order():
                 reverse=True,
             )
             assert list(_shapes(r, c)) == want, (r, c)
+
+
+def _assert_validated(stream):
+    # what the generator no longer runs: the public constructor's checks
+    for t in stream:
+        assert type(t) is PermutationTableau
+        assert PermutationTableau(t.rows, t.cols) == t
+
+
+def test_enumerated_tableaux_pass_the_constructor():
+    for size in range(9):
+        _assert_validated(enumerate_tableaux(size))
+
+
+def test_the_constructor_check_catches_an_unfiltered_generator(monkeypatch):
+    # the generator with its 0-pattern filter switched off emits a tableau
+    # that the constructor rejects, so the test above can fail
+    with monkeypatch.context() as m:
+        m.setattr(tableaux, "_restricted", lambda mask, full: 0)
+        planted = list(enumerate_tableaux(4))
+    assert len(planted) > math.factorial(4)
+    with pytest.raises(ValueError, match="0-pattern"):
+        _assert_validated(planted)
+
+
+# SHA-256 of the stream for sizes 0..8, one repr((size, rows, cols)) line
+# per tableau, taken before the generator stopped validating
+STREAM_SHA256 = "350f4747a34604623a1fe2029227915204e7f7948ba62d49c44f94ee5521ce8b"
+
+
+def test_stream_is_pinned():
+    h = hashlib.sha256()
+    for size in range(9):
+        for t in enumerate_tableaux(size):
+            h.update(repr((size, t.rows, t.cols)).encode() + b"\n")
+    assert h.hexdigest() == STREAM_SHA256
+
+
+def test_enumeration_streams_in_little_memory():
+    # no shape's fillings are listed whole: the last column is streamed
+    for shape in itertools.chain.from_iterable(_shapes(r, 8 - r) for r in range(9)):
+        _fulls(shape)
+    tracemalloc.start()
+    try:
+        for _ in enumerate_tableaux(8):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
