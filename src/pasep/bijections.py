@@ -286,13 +286,20 @@ _BDH = {UP: 1, LEVEL: 0, L2: 0, DOWN: -1}
 
 
 def _bicolor_options(h: int) -> tuple[tuple[str, int], ...]:
-    if h == 0:
-        return (UP, 1), (LEVEL, 0)
-    return (UP, 1), (LEVEL, 0), (L2, 0), (DOWN, -1)
+    return tuple((s, dh) for s, dh in _BDH.items() if h or s != L2)
+
+
+def _bicolor_step(step: object, h: int) -> int | None:
+    return _BDH.get(step) if isinstance(step, str) and (h or step != L2) else None
 
 
 def is_valid_bicolor(steps: tuple[str, ...]) -> bool:
-    return is_motzkin_walk(steps, _bicolor_options)
+    return is_motzkin_walk(steps, _bicolor_step)
+
+
+def _check_bicolor(steps: tuple[str, ...]) -> None:
+    if not is_valid_bicolor(steps):
+        raise ValueError(f"not a valid bicolor Motzkin path: {steps!r}")
 
 
 def enumerate_bicolor(n: int) -> Iterator[tuple[str, ...]]:
@@ -311,8 +318,7 @@ def bicolor_to_dyck_pair(steps: tuple[str, ...]) -> tuple[tuple[str, ...], tuple
     """
     if not steps:
         return ((), ())
-    if not is_valid_bicolor(steps):
-        raise ValueError("not a valid bicolor Motzkin path")
+    _check_bicolor(steps)
     d: list[str] = []
     for s in steps:
         d.extend(_DOUBLING[s])
@@ -332,8 +338,10 @@ def bicolor_mark_counts(steps: tuple[str, ...]) -> tuple[int, int]:
     """(#up-or-L1 steps at height 0, #down-or-L2 steps at height 1 right of those).
 
     These are the boundary-weight marks carried through the q = 0 reduction;
-    the first count equals ret(D1) + 1 and the second ret(D2).
+    the first count equals ret(D1) + 1 and the second ret(D2).  ValueError
+    unless steps is a bicolor path.
     """
+    _check_bicolor(steps)
     h = 0
     beta_positions = []
     candidates = []

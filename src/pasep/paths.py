@@ -45,14 +45,14 @@ above the number of steps left; fine_poly_paths is the same pass with the
 last step in its key.  Every explicit path (Laguerre histories, families
 P/R*/B*, Dyck and bicolor paths) is enumerated by motzkin_walks with the
 same pruning, which joins each listed prefix of the first half of the
-steps to each listed suffix of the second half, and family, Dyck and
-bicolor paths are checked by is_motzkin_walk; both read the steps allowed
-at each height from one options function per kind of path, made once (each
-family's in _FAMILY_WALKS), and is_motzkin_walk looks each step up in that
-function's label -> dh table for the height, built once.  Laguerre
-histories are checked by is_valid_history against _LAGUERRE_RULE, the rule
-that _laguerre_options lists, because their table at height h would hold
-about 4h labels.
+steps to each listed suffix of the second half, from one options function
+per kind of path that lists the steps allowed at each height.  Every
+explicit path is checked by is_motzkin_walk, one loop that asks the kind's
+step rule for each step's height change from the height it starts at:
+_laguerre_step reads _LAGUERRE_RULE, _family_step the family's row of
+_FAMILIES, and the Dyck and bicolor rules their dh dicts.  A rule accepts
+exactly what its options list, in O(1) per step and keeping nothing, where
+a table at height h would hold about 4h Laguerre labels.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ LaguerreStep = tuple[str, int, int]  # (direction, delta, i)
 
 
 # The Laguerre step rule: (direction, delta) -> (dh, slack), where a step
-# from height h carries an i in range(h + slack).  is_valid_history checks a
-# step by it in O(1), where a label table for h would hold about 4h labels.
+# from height h carries an i in range(h + slack).  _laguerre_step checks a
+# label by it and _laguerre_options lists the labels it allows.
 _LAGUERRE_RULE = {(UP, 1): (1, 1), (LEVEL, 1): (0, 1), (LEVEL, 0): (0, 0), (DOWN, 0): (-1, 0)}
 
 
@@ -108,26 +108,25 @@ def _laguerre_options(h: int) -> tuple[tuple[LaguerreStep, int], ...]:
     )
 
 
+def _laguerre_step(step: object, h: int) -> int | None:
+    """The height change of a Laguerre step from height h, or None unless
+    step equals one of _laguerre_options(h)."""
+    if not isinstance(step, tuple):
+        return None
+    try:
+        d, delta, i = step
+        dh, slack = _LAGUERRE_RULE[d, delta]
+    except (ValueError, KeyError, TypeError):  # not 3 items, not a label, unhashable
+        return None
+    top = h + slack
+    # i must equal an int in range(top).  An exact int is compared directly,
+    # which spares building a range per step; the check on every FZ/FV
+    # history of S_0..S_7 takes about 0.6x the time of range(top) alone.
+    return dh if (0 <= i < top if type(i) is int else i in range(top)) else None
+
+
 def is_valid_history(steps: tuple[LaguerreStep, ...]) -> bool:
-    """is_motzkin_walk(steps, _laguerre_options) by _LAGUERRE_RULE: each
-    step must equal one of _laguerre_options(h), as a table lookup finds it."""
-    h = 0
-    for step in steps:
-        if not isinstance(step, tuple):
-            return False
-        try:
-            d, delta, i = step
-            dh, slack = _LAGUERRE_RULE[d, delta]
-        except (ValueError, KeyError, TypeError):  # not 3 items, not a label, unhashable
-            return False
-        top = h + slack
-        # i must equal an int in range(top).  An exact int is compared directly,
-        # which spares building a range per step; the check on every FZ/FV
-        # history of S_0..S_7 takes about 0.6x the time of range(top) alone.
-        if not (0 <= i < top if type(i) is int else i in range(top)):
-            return False
-        h += dh
-    return h == 0
+    return is_motzkin_walk(steps, _laguerre_step)
 
 
 def enumerate_laguerre(n: int) -> Iterator[tuple[LaguerreStep, ...]]:
@@ -291,14 +290,17 @@ def _family_options(kinds: dict[str, tuple[str, ...]], h: int) -> list[tuple[Ste
     return [((d, tag), dh) for d, dh in _DH.items() for tag in _tags(kinds[d], h)]
 
 
-# One options function per family, made once, so that is_motzkin_walk's
-# per-height step tables are built once per family and height.
-_FAMILY_WALKS = {name: partial(_family_options, kinds) for name, kinds in _FAMILIES.items()}
-
-
-def _family_walk(family: str) -> Options:
-    _family(family)
-    return _FAMILY_WALKS[family]
+def _family_step(kinds: dict[str, tuple[str, ...]], step: object, h: int) -> int | None:
+    """The height change of a step from height h of the family with these
+    kinds, or None unless step is (d, (kind,)) for a kind of d other than
+    "frac", or (d, ("frac", i)) with i in range(h + 1) where d allows "frac"."""
+    if not (isinstance(step, tuple) and len(step) == 2 and isinstance(step[1], tuple)):
+        return None
+    d, tag = step
+    allowed = kinds.get(d, ()) if isinstance(d, str) else ()
+    kind = tag[0] if tag else None
+    ok = kind in allowed and (len(tag) == 2 and tag[1] in range(h + 1) if kind == "frac" else len(tag) == 1)
+    return _DH[d] if ok else None
 
 
 def _q_levels(steps: tuple[Step, ...]) -> int:
@@ -306,11 +308,11 @@ def _q_levels(steps: tuple[Step, ...]) -> int:
 
 
 def is_valid_family_path(steps: tuple[Step, ...], family: str) -> bool:
-    return is_motzkin_walk(steps, _family_walk(family))
+    return is_motzkin_walk(steps, partial(_family_step, _family(family)))
 
 
 def _enumerate_family(length: int, family: str, q_levels: int | None = None) -> Iterator[tuple[Step, ...]]:
-    walks = motzkin_walks(length, _family_walk(family))
+    walks = motzkin_walks(length, partial(_family_options, _family(family)))
     if q_levels is None:
         return walks
     return (p for p in walks if _q_levels(p) == q_levels)
@@ -427,30 +429,16 @@ def _join_halves(N: int, options: Options) -> Iterator[tuple]:
             yield p + t
 
 
-# One label -> dh table per options function and height, built on first use.
-# Every options function in the package is made once at module level, so this
-# holds one table per kind of path and height that a checked path reached.
-@lru_cache(maxsize=None)
-def _step_table(options: Options, h: int) -> dict:
-    return dict(options(h))
-
-
-def is_motzkin_walk(steps: Iterable, options: Options) -> bool:
-    """True when each step is among options(h) at the height h it starts
-    from, the height never goes below 0, and the path ends at 0.  A step
-    that cannot be a label (an unhashable one) makes it False too."""
+def is_motzkin_walk(steps: Iterable, step: Callable[[object, int], int | None]) -> bool:
+    """True when step(label, h) gives each label's height change from the
+    height h it starts at, never below 0, and the path ends at 0.  step
+    gives None for a label that is no step there, an unhashable one too."""
     h = 0
     for label in steps:
-        table = _step_table(options, h)
-        try:
-            dh = table.get(label)
-        except TypeError:
-            return False
-        if dh is None:
+        dh = step(label, h)
+        if dh is None or h + dh < 0:
             return False
         h += dh
-        if h < 0:
-            return False
     return h == 0
 
 
@@ -525,9 +513,13 @@ def _dyck_options(h: int) -> tuple[tuple[str, int], ...]:
     return (UP, 1), (DOWN, -1)
 
 
+def _dyck_step(step: object, h: int) -> int | None:
+    return _DH[step] if step in (UP, DOWN) else None
+
+
 def _check_dyck(steps) -> tuple[str, ...]:
     steps = tuple(steps)
-    if not is_motzkin_walk(steps, _dyck_options):
+    if not is_motzkin_walk(steps, _dyck_step):
         raise MalformedPath(f"not a Dyck path: {steps!r}")
     return steps
 

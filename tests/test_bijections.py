@@ -133,6 +133,20 @@ def test_long_history_is_checked_without_per_height_tables():
     assert not is_valid_history(h[:-1])
 
 
+def test_long_family_path_is_checked_without_per_height_tables():
+    # this family-P path climbs to height 500, where a label table per height
+    # reached would hold about 125,000 split up steps in all
+    p = ((UP, ("frac", 0)),) * 500 + ((DOWN, ("y",)),) * 500
+    tracemalloc.start()
+    try:
+        assert is_valid_family_path(p, "P")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000, kept
+    assert not is_valid_family_path(p[:-1], "P")
+
+
 def test_fz_weight_law():
     for n in range(7):
         for sigma in enumerate_permutations(n):
@@ -279,6 +293,13 @@ def test_bicolor_figure():
 
 def test_bicolor_empty():
     assert bicolor_to_dyck_pair(()) == ((), ())
+
+
+@pytest.mark.parametrize("steps", [(DOWN,), (L2, L2), ("X",)], ids=["down-at-0", "L2-at-0", "unknown"])
+def test_bicolor_maps_reject_invalid_paths(steps):
+    for bicolor_map in (bicolor_to_dyck_pair, bicolor_mark_counts):
+        with pytest.raises(ValueError, match="not a valid bicolor Motzkin path"):
+            bicolor_map(steps)
 
 
 def test_bicolor_mark_preservation():

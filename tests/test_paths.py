@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 from collections import Counter, namedtuple
+from functools import partial
 
 import pytest
 
 from pasep.ansatz import hatted_coeffs, normal_order, zn_hatted, zn_matrix, zn_normal
-from pasep.bijections import _bicolor_options
+from pasep.bijections import L2, _bicolor_options, is_valid_bicolor
 from pasep.formulas import (
     ASC_HALVED,
     B_formula,
@@ -19,7 +21,11 @@ from pasep.paths import (
     UP,
     MalformedPath,
     StepWeights,
-    _family_walk,
+    _FAMILIES,
+    _TAGS,
+    _check_dyck,
+    _dyck_options,
+    _family_options,
     _history_key,
     _laguerre_options,
     _q_levels,
@@ -34,7 +40,6 @@ from pasep.paths import (
     history_type_flags,
     history_weight,
     is_fine,
-    is_motzkin_walk,
     is_valid_family_path,
     is_valid_history,
     jfraction_moment,
@@ -97,19 +102,76 @@ _ODD_STEPS = [
 _STEPS = [(d, delta, i) for d in (UP, LEVEL, DOWN, "X") for delta in (0, 1, 2) for i in (-1, 0, 1, 2)]
 
 
-def test_history_rule_matches_the_options_table():
-    # is_valid_history checks by rule what is_motzkin_walk checks by table
-    labels = _STEPS + _ODD_STEPS
+class Letter(str):
+    pass
+
+
+# the same for family steps, with tags too short, too long or not tuples
+_ODD_FAMILY_STEPS = [
+    (UP, ("frac",)), (UP, ("frac", True)), (UP, ("frac", 1.0)), (UP, ("one", 0)), (UP, ("frac", [0])),
+    (UP, ("bogus",)), [LEVEL, ("oney",)], (LEVEL, ["oney"]), namedtuple("Step", "d tag")(LEVEL, ("oney",)),
+    (Letter(UP), ("frac", 0)), (UP, ("frac", 0.5)), (UP, ("frac", "0")), (UP, ("frac", 0, 0)), (UP, ()),
+    (UP, "frac"), (UP,), (LEVEL, ("oney",), 0), ([UP], ("one",)), (DOWN, ("y",), ("y",)), "Uy", (True, ("one",)),
+]
+_FAMILY_STEPS = [
+    (d, tag) for d in (UP, LEVEL, DOWN, "X") for tag in [*zip(_TAGS), *(("frac", i) for i in (-1, 0, 1, 2))]
+]
+_LETTERS = [UP, LEVEL, DOWN, "X", L2, Letter(UP), Letter(L2), [UP], {DOWN}, (UP,), 1, True, None, "UD"]
+
+
+def _is_dyck(steps):
+    try:
+        _check_dyck(steps)
+    except MalformedPath:
+        return False
+    return True
+
+
+# each kind of path: its validator, its options and the labels its walks draw on
+RULE_KINDS = {
+    "laguerre": (is_valid_history, _laguerre_options, _STEPS + _ODD_STEPS),
+    **{
+        name: (partial(is_valid_family_path, family=name), partial(_family_options, kinds),
+               _FAMILY_STEPS + _ODD_FAMILY_STEPS)
+        for name, kinds in _FAMILIES.items()
+    },
+    "dyck": (_is_dyck, _dyck_options, _LETTERS),
+    "bicolor": (is_valid_bicolor, _bicolor_options, _LETTERS),
+}
+
+
+def _table_walk(steps, tables):
+    """The check by options table: every step must be a key of
+    tables[h] = dict(options(h)) at the height h it starts from, and the path
+    must stay at or above 0 and end at 0."""
+    h = 0
+    for label in steps:
+        try:
+            dh = tables[h].get(label)
+        except TypeError:  # an unhashable label
+            return False
+        if dh is None or h + dh < 0:
+            return False
+        h += dh
+    return h == 0
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+def test_step_rule_matches_the_options_table(kind):
+    # each kind's validator checks by its step rule what its options list
+    valid, options, labels = RULE_KINDS[kind]
     walks = [(a, b) for a in labels for b in labels]
     rng = random.Random(27)
     walks += [tuple(rng.choice(labels) for _ in range(rng.randrange(3, 9))) for _ in range(20000)]
-    walks += [h + tail for n in range(6) for h in enumerate_laguerre(n) for tail in [(), *zip(labels)]]
+    listed = [w for n in range(9) for w in itertools.islice(motzkin_walks(n, options), 100)]
+    walks += [w + tail for w in listed for tail in [(), *zip(labels)]]
+    tables = [dict(options(h)) for h in range(9)]
     accepted = 0
     for w in walks:
-        want = is_motzkin_walk(w, _laguerre_options)
-        assert is_valid_history(w) is want, w
+        want = _table_walk(w, tables)
+        assert valid(w) is want, w
         accepted += want
-    assert accepted > 100
+    assert accepted >= len(listed) > 20
 
 
 def test_history_weight_figure():
@@ -401,9 +463,9 @@ def _dfs_walks(N, options):
 WALK_OPTIONS = {
     "dyck": lambda h: ((UP, 1), (DOWN, -1)),
     "laguerre": _laguerre_options,
-    "P": _family_walk("P"),
-    "R*": _family_walk("R*"),
-    "B*": _family_walk("B*"),
+    "P": partial(_family_options, _FAMILIES["P"]),
+    "R*": partial(_family_options, _FAMILIES["R*"]),
+    "B*": partial(_family_options, _FAMILIES["B*"]),
     "core": lambda h: CORE_OPTIONS,
     "bicolor": _bicolor_options,
 }

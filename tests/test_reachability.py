@@ -42,6 +42,7 @@ ALLOWED = {
     "cli.main",  # the console script; it only wraps cli.run in sys.exit
     # definitions that tests compare the fast code against
     "paths.enumerate_dyck",
+    "paths._dyck_options",  # the steps enumerate_dyck lists
     "paths.is_fine",
     "paths.peaks",
     "perms.enumerate_alternating",
@@ -167,3 +168,22 @@ def test_every_lru_cache_is_read_again():
     cold = {name for name, n in hits.items() if not n}
     assert not set(COLD_CACHES) - cold, sorted(set(COLD_CACHES) - cold)
     assert not cold - set(COLD_CACHES), sorted(cold - set(COLD_CACHES))
+
+
+def test_every_unbounded_cache_is_keyed_by_ints():
+    # an unbounded cache whose arguments are all ints holds one entry per
+    # size asked for; a bounded one (tableaux._fulls) is exempt
+    unbounded = {"cache", "functools.cache", "lru_cache(maxsize=None)", "functools.lru_cache(maxsize=None)"}
+    found, keyed_otherwise = [], []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                ast.unparse(d) in unbounded for d in node.decorator_list
+            ):
+                found.append(node.name)
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                if any(p.annotation is None or ast.unparse(p.annotation) != "int" for p in params):
+                    keyed_otherwise.append(f"{path.stem}.{node.name}")
+    assert found
+    assert not keyed_otherwise, keyed_otherwise
