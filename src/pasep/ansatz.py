@@ -77,7 +77,6 @@ SCALED_E = StepWeights(
 )
 
 
-@lru_cache(maxsize=None)
 def zn_matrix(N: int) -> MPoly:
     """Partition function as <W| (yD + E)^N |V> on the explicit matrices."""
     if N < 0:
@@ -157,7 +156,6 @@ def normal_order(N: int) -> Coeffs:
     return {(i, j): _unpack(c, nb, W) for i, row in enumerate(rows) for j, c in enumerate(row) if c}
 
 
-@lru_cache(maxsize=None)
 def zn_normal(N: int) -> MPoly:
     """Partition function assembled from the normal form: sum c[i,j] a^i b^j."""
     return MPoly({(ey, eq, i, j): v for (i, j), c in normal_order(N).items()
@@ -183,16 +181,20 @@ def _hatted_step(prev: Coeffs) -> Coeffs:
     return {key: c for key, c in out.items() if c}
 
 
+@lru_cache(maxsize=None)
+def _hatted_d(m: int) -> Coeffs:
+    # d[m] from the cached d[m-1]: hatted_coeffs asks in increasing m, so one level deep
+    return {(0, 0): ONE} if m == 0 else _hatted_step(_hatted_d(m - 1))
+
+
 def hatted_coeffs(k: int) -> list[Coeffs]:
     """[d[0], ..., d[k]], with d[m][i, j] by the recurrence
     d[m+1][i,j] = d[m][i,j-1] + q^j d[m][i-1,j] + y(1 - q^(j+1)) d[m][i,j+1]
-    from d[0] = {(0,0): 1}, in one walk of k steps."""
+    from d[0] = {(0,0): 1}, each d[m] built once per process from d[m-1].
+    The dicts are the cached ones: callers must not mutate them."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ds: list[Coeffs] = [{(0, 0): ONE}]
-    for _ in range(k):
-        ds.append(_hatted_step(ds[-1]))
-    return ds
+    return [_hatted_d(m) for m in range(k + 1)]
 
 
 def hatted_closed_form(k: int, i: int, j: int) -> MPoly:
@@ -202,7 +204,6 @@ def hatted_closed_form(k: int, i: int, j: int) -> MPoly:
     return q_binomial(i + j, i) * touchard_M((k - i - j) // 2, k)
 
 
-@lru_cache(maxsize=None)
 def zn_hatted(N: int) -> MPoly:
     """Partition function through the shifted-operator normal form.
 

@@ -298,7 +298,7 @@ def is_valid_bicolor(steps: tuple[str, ...]) -> bool:
 
 
 def _check_bicolor(steps: tuple[str, ...]) -> None:
-    if not is_valid_bicolor(steps):
+    if not isinstance(steps, (tuple, list)) or not is_valid_bicolor(steps):
         raise ValueError(f"not a valid bicolor Motzkin path: {steps!r}")
 
 
@@ -314,11 +314,12 @@ def bicolor_to_dyck_pair(steps: tuple[str, ...]) -> tuple[tuple[str, ...], tuple
 
     A bicolor path of length m maps to a Dyck path of length 2m whose first
     and last steps are forced, so the two returned Dyck paths have lengths
-    summing to 2m - 2.  The empty path maps to the empty pair.
+    summing to 2m - 2.  The empty path maps to the empty pair.  ValueError
+    unless steps is a tuple or list that forms a bicolor path.
     """
+    _check_bicolor(steps)
     if not steps:
         return ((), ())
-    _check_bicolor(steps)
     d: list[str] = []
     for s in steps:
         d.extend(_DOUBLING[s])
@@ -339,7 +340,7 @@ def bicolor_mark_counts(steps: tuple[str, ...]) -> tuple[int, int]:
 
     These are the boundary-weight marks carried through the q = 0 reduction;
     the first count equals ret(D1) + 1 and the second ret(D2).  ValueError
-    unless steps is a bicolor path.
+    unless steps is a tuple or list that forms a bicolor path.
     """
     _check_bicolor(steps)
     h = 0

@@ -475,7 +475,6 @@ def sum_B(n: int) -> MPoly:
     return motzkin_sum(n, lambda k: steps)
 
 
-@lru_cache(maxsize=None)
 def zn_paths(N: int) -> MPoly:
     """Partition function as the family-P weighted sum divided by (1-q)^N."""
     if N < 0:

@@ -183,7 +183,6 @@ def _key(st: TableauStats) -> Exponent:
     return (st.r - 1, st.w, st.a, st.b - 1)
 
 
-@lru_cache(maxsize=None)
 def zn_tableaux(N: int) -> MPoly:
     """Partition function over tableaux of size N+1: a^a b^(b-1) y^(r-1) q^w."""
     if N < 0:

@@ -2,6 +2,7 @@ import math
 import sys
 from itertools import product
 
+from pasep import ansatz
 from pasep.ansatz import (
     SCALED_D,
     SCALED_E,
@@ -155,10 +156,11 @@ def _frame_depth() -> int:
 
 def test_recurrences_build_without_recursion():
     # c[12] and d[12], which normal_order and hatted_coeffs build from c[0]
-    # and d[0] on every call, are built with only 16 frames to spare above
-    # this test; a build that recursed once per index (12 levels, then the
-    # ring operations) would need about 28.
+    # and d[0] (d on a cleared cache), are built with only 16 frames to
+    # spare above this test; a build that recursed once per index (12
+    # levels, then the ring operations) would need about 28.
     want = normal_order(12), hatted_coeffs(12)
+    ansatz._hatted_d.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 16)
     try:
@@ -166,6 +168,18 @@ def test_recurrences_build_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
+
+
+def test_hatted_steps_are_shared_across_calls(monkeypatch):
+    # every d[m] is built once, whichever call asks for it first
+    steps = []
+    step = ansatz._hatted_step
+    monkeypatch.setattr(ansatz, "_hatted_step", lambda prev: steps.append(1) or step(prev))
+    ansatz._hatted_d.cache_clear()
+    hatted_coeffs(10)
+    for N in range(11):
+        zn_hatted(N)
+    assert len(steps) == 10
 
 
 def test_zn_hatted_matches():

@@ -295,7 +295,11 @@ def test_bicolor_empty():
     assert bicolor_to_dyck_pair(()) == ((), ())
 
 
-@pytest.mark.parametrize("steps", [(DOWN,), (L2, L2), ("X",)], ids=["down-at-0", "L2-at-0", "unknown"])
+@pytest.mark.parametrize(
+    "steps",
+    [(DOWN,), (L2, L2), ("X",), None, "", 0],
+    ids=["down-at-0", "L2-at-0", "unknown", "none", "empty-str", "zero"],
+)
 def test_bicolor_maps_reject_invalid_paths(steps):
     for bicolor_map in (bicolor_to_dyck_pair, bicolor_mark_counts):
         with pytest.raises(ValueError, match="not a valid bicolor Motzkin path"):

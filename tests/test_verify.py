@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,30 @@ def test_type_masks_shifted_by_one_bit_fail_the_lemmas(monkeypatch):
     )
     assert {f"{lemma}, n={n}" for lemma in lemmas for n in (2, 3, 4)} <= failed
     assert all(name.startswith(lemmas) for name in failed)
+
+
+KEPT_AFTER_CROSS_CHECK = """
+import gc, tracemalloc
+import pasep.verify as verify
+tracemalloc.start()
+assert verify.golden_values().ok and verify.cross_methods().ok
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_cross_checks_keep_only_reread_values():
+    # golden_values and cross_methods read each route's Z(N), N <= 10, and
+    # only zn_closed's is read again by later suites; a fresh interpreter,
+    # so that no earlier test has warmed a cache
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", KEPT_AFTER_CROSS_CHECK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 3.5e6
