@@ -114,7 +114,7 @@ OBJECTS = {
         for s in perms.enumerate_permutations(n)
     ),
     "tableau": lambda n: (
-        {**json.loads(t.to_json()), "stats": tableaux.tableau_stats(t)._asdict()}
+        {**t.to_dict(), "stats": tableaux.tableau_stats(t)._asdict()}
         for t in tableaux.enumerate_tableaux(n)
     ),
     "laguerre": lambda n: (

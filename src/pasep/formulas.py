@@ -105,6 +105,29 @@ def zn_closed(N: int) -> MPoly:
     return from_shifted(acc, N)
 
 
+# Z(N) at the points that several checks read, each substituted once per N
+# (q_eulerian reads zn_ab1 once per k, q_stirling2's from_Z zn_a1 once per k,
+# and mu_from_Z reads zn_y1(k) for every N >= k).
+
+
+@lru_cache(maxsize=None)
+def zn_y1(N: int) -> MPoly:
+    """Z(N) at y = 1."""
+    return substitute(zn_closed(N), "y", 1)
+
+
+@lru_cache(maxsize=None)
+def zn_a1(N: int) -> MPoly:
+    """Z(N) at a = 1."""
+    return substitute(zn_closed(N), "a", 1)
+
+
+@lru_cache(maxsize=None)
+def zn_ab1(N: int) -> MPoly:
+    """Z(N) at a = b = 1."""
+    return substitute(zn_a1(N), "b", 1)
+
+
 def zn_cas1(N: int) -> MPoly:
     """The a = b = 1 specialization from the printed triple sum.
 
@@ -205,7 +228,7 @@ def mu_from_Z(N: int) -> MPoly:
     for k in range(N + 1):
         # the q-polynomial of each a^i b^j in Z(k) at y = 1, rewritten once
         groups: dict[tuple[int, int], dict] = {}
-        for (_, eq, ea, eb), c in substitute(zn_closed(k), "y", ONE).items():
+        for (_, eq, ea, eb), c in zn_y1(k).items():
             groups.setdefault((ea, eb), {})[(0, eq, 0, 0)] = c
         rewritten = ZERO
         for (ea, eb), qpoly in groups.items():
@@ -332,8 +355,7 @@ def q_stirling2(n: int, k: int, method: str = "recurrence") -> MPoly:
     if method == "carl2":
         return exact_div_pow_one_minus_q(_carlitz_sum(n, k, 1), n - k)
     if method == "from_Z":
-        z = substitute(zn_closed(n - 1), "a", ONE)
-        return coeff_of(coeff_of(z, "y", k - 1), "b", k - 1)
+        return coeff_of(coeff_of(zn_a1(n - 1), "y", k - 1), "b", k - 1)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -346,8 +368,7 @@ def q_eulerian(N: int, k: int) -> MPoly:
     """Coefficient of y^k in Z(N) at a = b = 1 (a q-Eulerian polynomial)."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
-    z = substitute(substitute(zn_closed(N), "a", ONE), "b", ONE)
-    return coeff_of(z, "y", k)
+    return coeff_of(zn_ab1(N), "y", k)
 
 
 @lru_cache(maxsize=None)

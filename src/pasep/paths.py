@@ -7,9 +7,10 @@ Three layers live here:
   (up: delta=1, i<=h;  level: delta=1, i<=h or delta=0, i<=h-1;
   down: delta=0, i<=h-1).  The step weight is y^delta q^i.  A step of
   weight y q^h is called type 1, one of weight q^(h-1) type 2 (both
-  defined once, in _history_scan).  history_type_flags returns them as
-  masks of step positions, and zn_histories keys each history by one
-  _history_scan in _history_key.
+  defined once, in history_scan).  One history_scan gives the weight's
+  exponents and the masks of the type 1 and type 2 step positions; the
+  bijection suite reads all four, and zn_histories keys each history by
+  one history_scan in _history_key.
 
 * The transfer-matrix path families P, R, R*, B, B*.  Steps are pairs
   (direction, tag) where the tag names one symbolic weight alternative;
@@ -134,17 +135,12 @@ def enumerate_laguerre(n: int) -> Iterator[tuple[LaguerreStep, ...]]:
     return motzkin_walks(n, _laguerre_options)
 
 
-def history_exponents(steps: tuple[LaguerreStep, ...]) -> tuple[int, int]:
-    """(sum of delta, sum of i): the y- and q-exponents of the history's weight."""
-    return sum(delta for _, delta, _ in steps), sum(i for _, _, i in steps)
-
-
 def history_weight(steps: tuple[LaguerreStep, ...]) -> MPoly:
     """Product over steps of y^delta q^i."""
-    return monomial(1, *history_exponents(steps))
+    return monomial(1, *history_scan(steps)[:2])
 
 
-def _history_scan(steps: tuple[LaguerreStep, ...]) -> tuple[int, int, int, int]:
+def history_scan(steps: tuple[LaguerreStep, ...]) -> tuple[int, int, int, int]:
     """(sum of delta, sum of i, type 1 mask, type 2 mask) in one pass.  Bit k
     of a mask marks the k-th step, counted from 1.  A step from height h is
     type 1 when its weight is y q^h and type 2 when it is q^(h-1): the steps
@@ -164,12 +160,6 @@ def _history_scan(steps: tuple[LaguerreStep, ...]) -> tuple[int, int, int, int]:
     return ey, eq, type1, type2
 
 
-def history_type_flags(steps: tuple[LaguerreStep, ...]) -> tuple[int, int]:
-    """Masks of the type 1 steps and of the type 2 steps: bit k for the k-th
-    step, counted from 1, of weight y q^h resp. q^(h-1) at starting height h."""
-    return _history_scan(steps)[2:]
-
-
 def history_json(steps: tuple[LaguerreStep, ...]) -> dict:
     return {
         "steps": [
@@ -180,8 +170,8 @@ def history_json(steps: tuple[LaguerreStep, ...]) -> dict:
 
 def _history_key(steps: tuple[LaguerreStep, ...]) -> tuple[int, int, int, int]:
     """(ey, eq, type 2 steps right of every type 1 step, type 1 steps - 1)
-    from one _history_scan; every nonempty history opens with a type 1 step."""
-    ey, eq, type1, type2 = _history_scan(steps)
+    from one history_scan; every nonempty history opens with a type 1 step."""
+    ey, eq, type1, type2 = history_scan(steps)
     return ey, eq, (type2 >> type1.bit_length()).bit_count(), type1.bit_count() - 1
 
 

@@ -164,9 +164,12 @@ def zn_perm_wexcr(N: int) -> MPoly:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    # Kept on the full stats rather than a lean (wex, cr, u, v) key: a lean
-    # key makes `zn --n 6 --method perm-wex` too short for the benchmark
-    # self-test that samples the host speed during that job.
+    # Kept on the full stats rather than a lean (wex, cr, u, v) key, so as not
+    # to shorten `zn --n 6 --method perm-wex`, the job during which the
+    # benchmark self-test asks for a host-speed sample every 0.05 s.  Even on
+    # the full stats that job takes only 0.045-0.086 s, and runs under
+    # 0.05 s take no sample, so the self-test fails now and then either way
+    # (ROADMAP item 1).
     return MPoly(
         Counter((st.wex - 1, st.cr, st.u, st.v) for st in map(stats, enumerate_permutations(N + 1)))
     )

@@ -211,9 +211,23 @@ BETA_TILDE = (ONE - Q) * B - ONE
 
 
 def substitute(p: MPoly, var: str, value) -> MPoly:
-    """Replace every occurrence of `var` in p by `value`, expanded."""
+    """Replace every occurrence of `var` in p by `value`, expanded.
+
+    An integer value, or a constant polynomial, folds into each coefficient
+    as c * value^e, with 0^0 = 1, so a term whose factor is 0 drops; any
+    other value is multiplied in by its powers, each built once."""
     idx = _VAR_INDEX[var]
     value = as_poly(value)
+    if value._t.keys() <= {(0, 0, 0, 0)}:
+        v = value._t.get((0, 0, 0, 0), 0)
+        folded: dict[Exponent, int] = {}
+        for e, c in p._t.items():
+            k = e[idx]
+            if k and not v:
+                continue
+            rest = (*e[:idx], 0, *e[idx + 1:])
+            folded[rest] = folded.get(rest, 0) + c * v**k
+        return MPoly(folded)
     groups: dict[int, dict[Exponent, int]] = {}
     for e, c in p._t.items():
         rest = list(e)

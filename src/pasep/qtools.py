@@ -100,6 +100,7 @@ def motzkin_prefix_gf(N: int, h: int) -> MPoly:
     return MPoly(out)
 
 
+@lru_cache(maxsize=None)
 def touchard_M(l: int, k: int) -> MPoly:
     """Ballot-difference kernel M(l, k).
 

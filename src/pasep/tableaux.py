@@ -97,8 +97,12 @@ class PermutationTableau(_Tableau):
         """The 0/1 rows, top to bottom."""
         return tuple(tuple(m >> i & 1 for m in self.cols[:n]) for i, n in enumerate(self.rows))
 
+    def to_dict(self) -> dict:
+        """The JSON form {"rows": [...], "fill": [[0/1, ...], ...]}."""
+        return {"rows": list(self.rows), "fill": [list(r) for r in self.fill]}
+
     def to_json(self) -> str:
-        return json.dumps({"rows": list(self.rows), "fill": [list(r) for r in self.fill]})
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, s: str) -> "PermutationTableau":
@@ -124,13 +128,14 @@ class PermutationTableau(_Tableau):
 
 
 def tableau_stats(t: PermutationTableau) -> TableauStats:
-    a = w = restricted = 0
+    # each column has one topmost 1, so the superfluous 1s are all 1s but those
+    a = ones = restricted = 0
     for full, mask in zip(_fulls(t.rows), t.cols):
         a += mask & 1
-        w += mask.bit_count() - 1
+        ones += mask.bit_count()
         restricted |= _restricted(mask, full)
     r = len(t.rows)
-    return TableauStats(a=a, b=r - restricted.bit_count(), r=r, w=w)
+    return TableauStats(a, r - restricted.bit_count(), r, ones - len(t.cols))
 
 
 def _shapes(r: int, c: int) -> Iterator[tuple[int, ...]]:

@@ -6,10 +6,12 @@ records each case under the check's name in a VerifyReport.  The CLI
 the default bounds are the desk-scale budgets the suites are pinned at, and a
 caller-supplied max_n only ever lowers them.
 
-bijection_suite checks the step-type lemmas as equalities of int masks: bit
-k of history_type_flags marks the k-th step, which stands for the position k
-under Foata-Zeilberger and for the value k under Francon-Viennot, and
-_extrema returns the matching masks of sigma's extrema by position or value.
+bijection_suite reads each history's weight law and step types from one
+history_scan, and checks the step-type lemmas as equalities of int masks: bit
+k of a type mask marks the k-th step, which stands for the position k under
+Foata-Zeilberger and for the value k under Francon-Viennot, and _extrema
+returns the matching masks of sigma's extrema and fixed points by position
+or value.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import METHODS, ansatz, bijections, formulas, paths, perms
+from .paths import history_scan
 from .polyring import (
     MPoly,
     ONE,
@@ -121,11 +124,10 @@ def symmetry_suite(max_n: int | None = None) -> VerifyReport:
 def specialization_suite(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("specializations")
     for N in range(_cap(10, max_n) + 1):
-        z11 = substitute(substitute(formulas.zn_closed(N), "y", ONE), "q", ONE)
+        z11 = substitute(formulas.zn_y1(N), "q", ONE)
         rep.check_eq(f"product formula N={N}", formulas.zn_product_y1q1(N), z11)
     for N in range(_cap(8, max_n) + 1):
-        zab1 = substitute(substitute(formulas.zn_closed(N), "a", ONE), "b", ONE)
-        rep.check_eq(f"a=b=1 triple sum N={N}", formulas.zn_cas1(N), zab1)
+        rep.check_eq(f"a=b=1 triple sum N={N}", formulas.zn_cas1(N), formulas.zn_ab1(N))
     for N in range(_cap(8, max_n) + 1):
         for n in range(N + 1):
             rep.check_eq(
@@ -136,16 +138,19 @@ def specialization_suite(max_n: int | None = None) -> VerifyReport:
     return rep
 
 
-def _extrema(sigma: perms.Perm) -> tuple[int, int, int, int]:
+def _extrema(sigma: perms.Perm) -> tuple[int, int, int, int, int]:
     """Masks of the left-to-right maxima of sigma by position, of its
-    right-to-left minima by position and by value, and of its right-to-left
-    maxima by value: bit p for the position p, from 1, bit v for the value v."""
-    lr_max = rl_min = rl_min_values = rl_max_values = 0
+    right-to-left minima by position and by value, of its right-to-left
+    maxima by value, and of its fixed points: bit p for the position p, from
+    1, bit v for the value v."""
+    lr_max = rl_min = rl_min_values = rl_max_values = fixed = 0
     top = 0
     for p, v in enumerate(sigma, start=1):
         if v > top:
             top = v
             lr_max |= 1 << p
+        if v == p:
+            fixed |= 1 << p
     low, high = len(sigma) + 1, 0
     for p in range(len(sigma), 0, -1):
         v = sigma[p - 1]
@@ -156,7 +161,7 @@ def _extrema(sigma: perms.Perm) -> tuple[int, int, int, int]:
         if v > high:
             high = v
             rl_max_values |= 1 << v
-    return lr_max, rl_min, rl_min_values, rl_max_values
+    return lr_max, rl_min, rl_min_values, rl_max_values, fixed
 
 
 _DIRECTION = {paths.UP: 0, paths.LEVEL: 1, paths.DOWN: 2}
@@ -207,28 +212,27 @@ def bijection_suite(max_n: int | None = None) -> VerifyReport:
             hv = bijections.francon_viennot(sigma)
             rep.check(fz_inv, _inverts(bijections.foata_zeilberger_inverse, hz, sigma))
             rep.check(fv_inv, _inverts(bijections.francon_viennot_inverse, hv, sigma))
-            rep.check(fz_law, paths.history_exponents(hz) == (st.wex, st.cr))
-            rep.check(fv_law, paths.history_exponents(hv) == (st.asc, st.p31_2))
+            ey, eq, z1, z2 = history_scan(hz)
+            rep.check(fz_law, (ey, eq) == (st.wex, st.cr))
+            ey, eq, v1, v2 = history_scan(hv)
+            rep.check(fv_law, (ey, eq) == (st.asc, st.p31_2))
             code_z, code_v = _history_code(hz, n), _history_code(hv, n)
             rep.check(fz_inj, code_z not in seen_fz)
             rep.check(fv_inj, code_v not in seen_fv)
             seen_fz.add(code_z)
             seen_fv.add(code_v)
             # a | b == c | b says that the masks a and c agree off the bits of b
-            lr_max, rl_min, rl_min_values, rl_max_values = _extrema(sigma)
-            fixed = sum(1 << p for p, v in enumerate(sigma, start=1) if v == p)
-            t1, t2 = paths.history_type_flags(hz)
-            rep.check(lem1, t1 == lr_max)
-            rep.check(lem2, t2 | fixed == rl_min | fixed)
+            lr_max, rl_min, rl_min_values, rl_max_values, fixed = _extrema(sigma)
+            rep.check(lem1, z1 == lr_max)
+            rep.check(lem2, z2 | fixed == rl_min | fixed)
             tl = perms.tilde(sigma)
             keys = (st.u, st.wex, st.v, st.cr), (st.u_prime, st.wex, st.v, st.cr)
             partner = keys if tl == sigma else pending.pop(tl, None)
             if partner is None:
                 pending[sigma] = keys
             rep.check(lem3, perms.tilde(tl) == sigma and partner in (None, keys[::-1]))
-            t1, t2 = paths.history_type_flags(hv)
-            rep.check(lem4, t1 == rl_min_values)
-            late2 = t2 >> t1.bit_length() << t1.bit_length()
+            rep.check(lem4, v1 == rl_min_values)
+            late2 = v2 >> v1.bit_length() << v1.bit_length()
             last = 1 << sigma[-1] if n else 0  # the value at position n
             rep.check(lem5, late2 | last == rl_max_values | last)
         rep.check(lem3, not pending)
@@ -321,7 +325,7 @@ def moment_suite(max_n: int | None = None) -> VerifyReport:
         rep.check_eq(
             f"q-Laguerre moment recurrence recovers (1-q)^N Z at y=1, N={N}",
             paths.jfraction_moment(formulas.SHIFTED_Z, N),
-            (ONE - Q) ** N * substitute(formulas.zn_closed(N), "y", ONE),
+            (ONE - Q) ** N * formulas.zn_y1(N),
         )
     rng = random.Random(MOMENT_SEED)
     for N in range(_cap(6, max_n) + 1):
@@ -423,7 +427,7 @@ def fine_suite(max_n: int | None = None) -> VerifyReport:
         f = paths.fine_poly_paths(n)
         rep.check_eq(f"F_{n} palindromic", y_reflect(f, n), f)
     for N in range(_cap(7, max_n) + 1):
-        z = substitute(substitute(formulas.zn_closed(N), "y", ONE), "q", ZERO)
+        z = substitute(formulas.zn_y1(N), "q", ZERO)
         rep.check_eq(f"Dyck pair formula at q=0, N={N}", paths.dyck_pair_sum_q0(N), z)
     return rep
 

@@ -24,7 +24,7 @@ from pasep.paths import (
     enumerate_B_star,
     enumerate_PN,
     enumerate_R_star,
-    history_type_flags,
+    history_scan,
     history_weight,
     is_valid_family_path,
     is_valid_history,
@@ -164,7 +164,7 @@ def test_fv_large_figure():
     st = stats(FIG4_PERM)
     assert history_weight(h) == monomial(1, ey=5, eq=7)
     assert (st.s, st.t, st.asc, st.p31_2) == (3, 4, 5, 7)
-    type1, type2 = history_type_flags(h)
+    _, _, type1, type2 = history_scan(h)
     assert type1.bit_count() == 4
     assert (type2 >> type1.bit_length()).bit_count() == 2
     assert francon_viennot_inverse(h) == FIG4_PERM

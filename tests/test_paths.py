@@ -37,7 +37,7 @@ from pasep.paths import (
     enumerate_dyck,
     enumerate_laguerre,
     fine_poly_paths,
-    history_type_flags,
+    history_scan,
     history_weight,
     is_fine,
     is_valid_family_path,
@@ -180,13 +180,13 @@ def test_history_weight_figure():
 
 
 def test_history_type_flags():
-    type1, type2 = history_type_flags(FIG1_HISTORY)
+    _, _, type1, type2 = history_scan(FIG1_HISTORY)
     # first step of any nonempty history is type 1; the figure's permutation
     # has 4 left-to-right maxima, hence 4 type-1 steps
     assert type1 >> 1 & 1
     assert type1.bit_count() == 4
     assert type2.bit_count() == 2
-    assert history_type_flags(()) == (0, 0)
+    assert history_scan(()) == (0, 0, 0, 0)
 
 
 def test_history_key_matches_type_flags():
@@ -201,7 +201,7 @@ def test_history_key_matches_type_flags():
                     type2.append(k)
                 h += {UP: 1, LEVEL: 0, DOWN: -1}[d]
             masks = tuple(sum(1 << k for k in ks) for ks in (type1, type2))
-            assert history_type_flags(steps) == masks
+            assert history_scan(steps)[2:] == masks
             late2 = sum(1 for k in type2 if k > type1[-1])
             ey = sum(delta for _, delta, _ in steps)
             eq = sum(i for _, _, i in steps)

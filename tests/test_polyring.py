@@ -1,4 +1,5 @@
 import ast
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -91,6 +92,20 @@ def _substitute_term_by_term(p, var, value):
 @example(monomial(5, ey=2, eq=1) - Y, "q", ONE - Q)
 def test_substitute_is_the_term_by_term_sum(p, var, value):
     assert substitute(p, var, value) == _substitute_term_by_term(p, var, value)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_substitute_folds_integer_values_into_coefficients(seed):
+    # an int or a constant value is folded into the coefficients; the
+    # term-by-term expansion multiplies MPoly powers, with value ** 0 = ONE.
+    # The nonzero constant term puts 0^0 = 1 into every case.
+    rng = random.Random(seed)
+    terms = {tuple(rng.randrange(4) for _ in range(4)): rng.randint(-9, 9) for _ in range(10)}
+    p = MPoly({**terms, (0, 0, 0, 0): rng.randint(1, 9)})
+    for var in "yqab":
+        for v in (0, 1, -1, 2):
+            want = _substitute_term_by_term(p, var, v * ONE)
+            assert substitute(p, var, v) == substitute(p, var, v * ONE) == want, (var, v)
 
 
 def test_substitute_zero_to_the_zero_is_one():

@@ -57,6 +57,9 @@ ALLOWED = {
     # public inverse of the JSON that `enumerate --object tableau` prints,
     # and the one way to build a tableau from its 0/1 rows
     "tableaux.PermutationTableau.from_json",
+    # that JSON as a string, from_json's inverse; the CLI spreads to_dict
+    # into its record instead of parsing this string back
+    "tableaux.PermutationTableau.to_json",
     # the namedtuple _make (and _replace, which calls it) checked as the
     # constructor is; no CLI job copies or rebuilds a tableau
     "tableaux.PermutationTableau._make",

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pasep
 import pasep.verify as verify
 from pasep.paths import DOWN, LEVEL, UP, enumerate_laguerre
 from pasep.perms import enumerate_permutations
-from pasep.polyring import ONE, Y, canonical_string
+from pasep.polyring import ONE, Y, as_poly, canonical_string
 
 
 def test_check_eq_records_rendered_detail_only_on_failure(monkeypatch):
@@ -116,7 +117,8 @@ def test_bad_history_image_fails_its_round_trip_check(monkeypatch, name):
 
 
 def test_wrong_history_weight_fails_both_weight_laws(monkeypatch):
-    monkeypatch.setattr(verify.paths, "history_exponents", lambda steps: (0, 0))
+    real = verify.history_scan
+    monkeypatch.setattr(verify, "history_scan", lambda steps: (0, 0, *real(steps)[2:]))
     failed = {n for n, _ in verify.bijection_suite(max_n=2).failures}
     laws = {f"FZ weight law y^wex q^cr, n={n}" for n in (1, 2)}
     laws |= {f"FV weight law y^asc q^31-2, n={n}" for n in (1, 2)}
@@ -149,6 +151,7 @@ def test_extrema_masks_match_their_set_definitions():
                 _mask(rl_min),
                 _mask(sigma[p - 1] for p in rl_min),
                 _mask(sigma[p - 1] for p in rl_max),
+                _mask(p for p in pos if sigma[p - 1] == p),
             ), sigma
 
 
@@ -183,9 +186,9 @@ def test_fv_with_a_late_descent_cover_fails_its_law_and_round_trip(monkeypatch):
 
 
 def test_type_masks_shifted_by_one_bit_fail_the_lemmas(monkeypatch):
-    real = verify.paths.history_type_flags
+    real = verify.history_scan
     monkeypatch.setattr(
-        verify.paths, "history_type_flags", lambda steps: tuple(m << 1 for m in real(steps))
+        verify, "history_scan", lambda steps: (*real(steps)[:2], *(m << 1 for m in real(steps)[2:]))
     )
     failed = {n for n, _ in verify.bijection_suite(max_n=4).failures}
     lemmas = (
@@ -196,6 +199,30 @@ def test_type_masks_shifted_by_one_bit_fail_the_lemmas(monkeypatch):
     )
     assert {f"{lemma}, n={n}" for lemma in lemmas for n in (2, 3, 4)} <= failed
     assert all(name.startswith(lemmas) for name in failed)
+
+
+def test_suites_specialize_each_zn_once_per_point(monkeypatch):
+    # q_eulerian, q_stirling2's from_Z and mu_from_Z read Z(N) at a point
+    # once per k or per N; each (N, point) must be substituted once only
+    formulas = verify.formulas
+    for obj in vars(formulas).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    n_of = {id(formulas.zn_closed(N)): N for N in range(11)}
+    made = Counter()
+    real = formulas.substitute
+
+    def counting(p, var, value):
+        if id(p) in n_of:
+            made[n_of[id(p)], var, canonical_string(as_poly(value))] += 1
+        return real(p, var, value)
+
+    monkeypatch.setattr(formulas, "substitute", counting)
+    monkeypatch.setattr(verify, "substitute", counting)
+    for suite in (verify.eulerian_suite, verify.stirling_suite, verify.moment_suite):
+        assert suite().ok
+    assert {(8, "a", "1"), (8, "y", "1")} <= set(made)
+    assert max(made.values()) == 1, made.most_common(3)
 
 
 KEPT_AFTER_CROSS_CHECK = """
