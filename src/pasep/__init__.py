@@ -8,11 +8,12 @@ orderings, two permutation statistics, permutation tableaux, Laguerre
 histories, weighted path families), together with the bijections, moment
 formulas and classical-sequence specializations tying them together.
 
-`METHODS` names the nine routes and `zn(N, method)` is the validated entry
-point to them; everything else is imported from its module.  The
-bijections (`pasep.bijections`) and the cross-validation suites
-(`pasep.verify`) are not imported here; each loads when first imported, so
-a process that only computes Z(N) never compiles them.
+`METHODS` names the nine routes, `ROUTES` states each one's kind and cap,
+and `zn(N, method)` is the validated entry point to them; everything else
+is imported from its module.  The bijections (`pasep.bijections`) and the
+cross-validation suites (`pasep.verify`) are not imported here; each loads
+when first imported, so a process that only computes Z(N) never compiles
+them.
 """
 
 from .polyring import MPoly
@@ -34,6 +35,24 @@ METHODS = {
     "tableaux": zn_tableaux,
     "histories": zn_histories,
     "paths": zn_paths,
+}
+
+# Each route's kind and desk-scale cap, by the same names.  A "fast" route
+# takes time polynomial in N; an "enumerative" one visits each of the
+# (N+1)! permutations, tableaux or histories.  The cap is the largest N that
+# `zn` builds without --force: 9 for the enumerative routes, and for a fast
+# one the largest N measured to build cold within a minute and 0.5 GB
+# (README, Speed).
+ROUTES = {
+    "closed": ("fast", 30),
+    "matrix": ("fast", 24),
+    "normal": ("fast", 30),
+    "hatted": ("fast", 30),
+    "perm-wex": ("enumerative", 9),
+    "perm-asc": ("enumerative", 9),
+    "tableaux": ("enumerative", 9),
+    "histories": ("enumerative", 9),
+    "paths": ("fast", 24),
 }
 
 

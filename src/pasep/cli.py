@@ -8,8 +8,10 @@ Subcommands:
              tangent-secant)
 
 Exit codes: 0 success / verify passed, 1 verify failed, 2 usage error,
-3 desk-scale cap exceeded (override with --force).  All polynomial output
-goes through the canonical string format; no floating point anywhere.
+3 desk-scale cap exceeded (override with --force): every zn route is capped
+at its entry of pasep.ROUTES, and every enumerate object at ENUMERATE_CAP.
+All polynomial output goes through the canonical string format; no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import json
 import sys
 from fractions import Fraction
 
-from . import METHODS, ansatz, formulas, paths, perms, tableaux, zn
+from . import METHODS, ROUTES, ansatz, formulas, paths, perms, tableaux, zn
 from .polyring import canonical_string, eval_rational
 
-CAP_DEFAULT = 9
+ENUMERATE_CAP = 9
 # the keys of verify.SUITES, sorted; `verify` itself loads only for a verify job
 SUITE_NAMES = ("all", "bijections", "cross-methods", "identities", "moments", "specials", "symmetry")
-SLOW_METHODS = {"perm-wex", "perm-asc", "tableaux", "histories"}
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
@@ -55,17 +56,18 @@ def _parse_point(text: str) -> dict[str, Fraction]:
     return point
 
 
-def _over_cap(args, what: str) -> bool:
-    """True, after printing the error, when args.n exceeds the desk-scale
-    cap and --force is not given."""
-    if args.n <= CAP_DEFAULT or args.force:
+def _over_cap(args, what: str, cap: int) -> bool:
+    """True, after printing the error, when args.n exceeds cap and --force
+    is not given."""
+    if args.n <= cap or args.force:
         return False
-    print(f"error: {what} is capped at n <= {CAP_DEFAULT} (use --force)", file=sys.stderr)
+    print(f"error: {what} is capped at n <= {cap} (use --force)", file=sys.stderr)
     return True
 
 
 def _cmd_zn(args) -> int:
-    if args.method in SLOW_METHODS and _over_cap(args, f"method {args.method}"):
+    _, cap = ROUTES[args.method]
+    if _over_cap(args, f"method {args.method}", cap):
         return EXIT_CAP
     point = None
     if args.eval is not None:
@@ -130,7 +132,7 @@ OBJECTS = {
 
 
 def _cmd_enumerate(args) -> int:
-    if _over_cap(args, f"object {args.object}"):
+    if _over_cap(args, f"object {args.object}", ENUMERATE_CAP):
         return EXIT_CAP
     for record in OBJECTS[args.object](args.n):
         sys.stdout.write(json.dumps(record) + "\n")

@@ -30,12 +30,12 @@ Three layers live here:
   where at = (1-q)a - 1 and bt = (1-q)b - 1.  _FAMILIES holds this table;
   any other family name is a ValueError.
 
-* Plain Dyck paths with returns/peaks statistics, Fine paths, and the
-  q=0 Dyck-pair evaluation of the partition function.  Returns are a step
-  weight (a on each down step that lands at 0), so dyck_pair_sum_q0 is one
-  motzkin_sum per length.  A peak spans two steps, so fine_poly_paths keys
-  each prefix by its last step as well as its height, and never takes a
-  peak that lands at 0 (a hill); is_fine and peaks stay the definitions.
+* Plain Dyck paths with their returns, Fine paths, and the q=0 Dyck-pair
+  evaluation of the partition function.  Returns are a step weight (a on
+  each down step that lands at 0), so dyck_pair_sum_q0 is one motzkin_sum
+  per length.  A peak spans two steps, so fine_poly_paths keys each prefix
+  by its last step as well as its height, and never takes a peak that lands
+  at 0 (a hill); the tests hold the definitions by listed Dyck paths.
 
 Every transfer operator (families P, R, B and their cardinalities,
 J-fraction recurrences, the matrices of the ansatz module) is one
@@ -44,7 +44,7 @@ Every sum of products of step weights is one call of motzkin_sum, a
 height-indexed dynamic program over Motzkin paths that drops every height
 above the number of steps left; fine_poly_paths is the same pass with the
 last step in its key.  Every explicit path (Laguerre histories, families
-P/R*/B*, Dyck and bicolor paths) is enumerated by motzkin_walks with the
+P/R*/B* and bicolor paths) is enumerated by motzkin_walks with the
 same pruning, which joins each listed prefix of the first half of the
 steps to each listed suffix of the second half, from one options function
 per kind of path that lists the steps allowed at each height.  Every
@@ -498,10 +498,6 @@ def jfraction_moment(rec: StepWeights, N: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-def _dyck_options(h: int) -> tuple[tuple[str, int], ...]:
-    return (UP, 1), (DOWN, -1)
-
-
 def _dyck_step(step: object, h: int) -> int | None:
     return _DH[step] if step in (UP, DOWN) else None
 
@@ -523,27 +519,6 @@ def returns(steps) -> int:
         if h == 0:
             ret += 1
     return ret
-
-
-def peaks(steps) -> int:
-    """Number of up-down factors of a Dyck path."""
-    steps = _check_dyck(steps)
-    return sum(1 for i in range(len(steps) - 1) if steps[i] == UP and steps[i + 1] == DOWN)
-
-
-def enumerate_dyck(n: int) -> Iterator[tuple[str, ...]]:
-    """All Dyck paths with 2n steps."""
-    return motzkin_walks(2 * n, _dyck_options)
-
-
-def is_fine(steps: tuple[str, ...]) -> bool:
-    """No peak whose up step starts at height 0 (no Dyck factor split there)."""
-    h = 0
-    for i, s in enumerate(steps):
-        if s == UP and h == 0 and i + 1 < len(steps) and steps[i + 1] == DOWN:
-            return False
-        h += 1 if s == UP else -1
-    return True
 
 
 def fine_poly_paths(n: int) -> MPoly:

@@ -36,8 +36,8 @@ its cover; a descent also adds 1 to the cover of every unplaced value
 strictly between the two values.  Each state holds the q-generating
 function of the 31-2 counts of the prefixes that reach it, packed in one
 int by polyring's codec.  The coefficients are non-negative and sum to the
-number of those prefixes, so n! bounds every slot.  enumerate_alternating
-and p31_2 are the reference it is tested against.
+number of those prefixes, so n! bounds every slot.  The tests check it
+against p31_2 over the listed alternating permutations.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ def enumerate_permutations(n: int) -> Iterator[Perm]:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _lex_permutations(range(1, n + 1))
-
-
-def inverse(sigma: Perm) -> Perm:
-    out = [0] * len(sigma)
-    for i, v in enumerate(sigma, start=1):
-        out[v - 1] = i
-    return tuple(out)
 
 
 def perm_string(sigma: Perm) -> str:
@@ -215,36 +208,11 @@ def zn_perm_asc312(N: int) -> MPoly:
     return MPoly(Counter(map(_asc312_key, enumerate_permutations(N + 1))))
 
 
-def enumerate_alternating(n: int) -> Iterator[Perm]:
-    """Down-up alternating permutations: sigma(1) > sigma(2) < sigma(3) > ..."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def rec(prefix: list[int], used: int):
-        k = len(prefix)
-        if k == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if used >> v & 1:
-                continue
-            if k >= 1:
-                if k % 2 == 1 and not prefix[-1] > v:
-                    continue
-                if k % 2 == 0 and not prefix[-1] < v:
-                    continue
-            prefix.append(v)
-            yield from rec(prefix, used | (1 << v))
-            prefix.pop()
-
-    return rec([], 0)
-
-
 def alternating_E(n: int) -> MPoly:
     """E_n(q): 31-2 pattern distribution over alternating permutations.
 
-    The prefix-state DP of the module docstring; enumerate_alternating and
-    p31_2 are the definition it equals.
+    The prefix-state DP of the module docstring; p31_2 summed over the
+    alternating permutations is the definition it equals.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

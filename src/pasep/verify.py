@@ -20,9 +20,10 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
-from . import METHODS, ansatz, bijections, formulas, paths, perms
+from . import METHODS, ROUTES, ansatz, bijections, formulas, paths, perms
 from .paths import history_scan
 from .polyring import (
     MPoly,
@@ -47,7 +48,6 @@ GOLDEN = {
     " + 2*y*q*a*b + y*a^2*b + 2*y*a^2 + y*a*b + y*a + y*b + a^3",
 }
 
-FAST_METHODS = ("closed", "matrix", "normal", "hatted")
 MOMENT_POINTS = 20  # rational points per N in moment_suite, drawn with MOMENT_SEED
 MOMENT_SEED = 20110401
 
@@ -103,11 +103,13 @@ def golden_values(max_n: int | None = None) -> VerifyReport:
 
 def cross_methods(max_n: int | None = None) -> VerifyReport:
     rep = VerifyReport("cross-methods")
+    # Above N = 7 only the fast routes run, and not paths: summed over tags its
+    # weights are matrix's, so there it would add checks but no evidence.
+    late = [name for name, (kind, _) in ROUTES.items() if kind == "fast" and name != "paths"]
     slow_max = _cap(7, max_n)
     for N in range(_cap(10, max_n) + 1):
         ref = formulas.zn_closed(N)
-        names = METHODS if N <= slow_max else FAST_METHODS
-        for name in names:
+        for name in METHODS if N <= slow_max else late:
             if name != "closed":
                 rep.check_eq(f"Z{N} {name} == closed", METHODS[name](N), ref)
     return rep
@@ -416,15 +418,17 @@ def fine_suite(max_n: int | None = None) -> VerifyReport:
         5: "y^4 + 8*y^3 + 8*y^2 + y",
         6: "y^5 + 13*y^4 + 29*y^3 + 13*y^2 + y",
     }
+    # each F_n is built once, though two checks read it
+    from_z, by_paths = cache(formulas.fine_from_Z), cache(paths.fine_poly_paths)
     for n, s in printed.items():
-        got = canonical_string(formulas.fine_from_Z(n))
+        got = canonical_string(from_z(n))
         rep.check(f"printed F_{n}", got == s, got)
     for N in range(_cap(10, max_n) + 1):
-        rep.check_eq(f"F_{N} from Z vs Fine paths", formulas.fine_from_Z(N), paths.fine_poly_paths(N))
+        rep.check_eq(f"F_{N} from Z vs Fine paths", from_z(N), by_paths(N))
     for n in range(_cap(12, max_n) + 1):
         # fine polynomials carry no a or b, so y_reflect is the pure
         # coefficient reversal and palindromicity reads as a fixed point
-        f = paths.fine_poly_paths(n)
+        f = by_paths(n)
         rep.check_eq(f"F_{n} palindromic", y_reflect(f, n), f)
     for N in range(_cap(7, max_n) + 1):
         z = substitute(formulas.zn_y1(N), "q", ZERO)
@@ -456,23 +460,24 @@ def identity_suite(max_n: int | None = None) -> VerifyReport:
             rep.check(name, formulas.qbinom_lemma_lower(m, l))
         for l in range(1, 2 * m + 1):
             rep.check(name, formulas.qbinom_lemma_upper(m, l))
+    closed_form = cache(ansatz.hatted_closed_form)  # both hatted checks read most (k, i, j)
     name = f"hatted recurrence equals closed form, k<={cap}"
     for k, d in enumerate(ansatz.hatted_coeffs(cap) if cap >= 0 else []):
         for i in range(k + 1):
             for j in range(k + 1):
-                rep.check(name, d.get((i, j), ZERO) == ansatz.hatted_closed_form(k, i, j))
+                rep.check(name, d.get((i, j), ZERO) == closed_form(k, i, j))
     name = "hatted splitting identities"
     for k in range(_cap(8, max_n) + 1):
         for i in range(k + 2):
             for j in range(k + 2):
                 if i + j < 1 or (k - i - j + 1) % 2:
                     continue
-                e_left = ansatz.hatted_closed_form(k, i, j - 1) if j >= 1 else ZERO
-                e_up = ansatz.hatted_closed_form(k, i - 1, j) if i >= 1 else ZERO
+                e_left = closed_form(k, i, j - 1) if j >= 1 else ZERO
+                e_up = closed_form(k, i - 1, j) if i >= 1 else ZERO
                 lhs = e_left + monomial(1, eq=j) * e_up
                 rhs = q_binomial(i + j, i) * touchard_M((k - i - j + 1) // 2, k)
                 rep.check(name, lhs == rhs)
-                lhs2 = Y * (ONE - monomial(1, eq=j + 1)) * ansatz.hatted_closed_form(k, i, j + 1)
+                lhs2 = Y * (ONE - monomial(1, eq=j + 1)) * closed_form(k, i, j + 1)
                 low = (k - i - j - 1) // 2
                 rhs2 = (
                     Y

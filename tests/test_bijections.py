@@ -31,8 +31,10 @@ from pasep.paths import (
     path_weight,
     returns,
 )
-from pasep.perms import enumerate_permutations, inverse, stats
+from pasep.perms import enumerate_permutations, stats
 from pasep.polyring import monomial
+
+from oracles import inverse
 
 FIG1_PERM = (6, 7, 2, 5, 8, 1, 4, 9, 3)
 FIG1_HISTORY = (

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import pasep
 from pasep import verify
 from pasep.cli import build_parser, run
+from pasep.polyring import ONE
 from pasep.verify import GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,10 +24,13 @@ def test_zn_closed(capsys):
 
 # The bench's correctness gate: the SHA-256 of `zn --n N` stdout, read only.
 BENCH_REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
+# each N of the reference by every route whose cap admits it
+BENCH_REFERENCE_JOBS = [
+    (n, m) for n in sorted(BENCH_REFERENCE["zn_sha256"]) for m, (_, cap) in pasep.ROUTES.items() if int(n) <= cap
+]
 
 
-@pytest.mark.parametrize("method", ["closed", "hatted", "normal"])
-@pytest.mark.parametrize("n", sorted(BENCH_REFERENCE["zn_sha256"]))
+@pytest.mark.parametrize("n, method", BENCH_REFERENCE_JOBS)
 def test_zn_matches_bench_reference(capsys, method, n):
     assert run(["zn", "--n", n, "--method", method]) == 0
     out = capsys.readouterr().out.encode()
@@ -71,8 +76,8 @@ EVAL_PINS = {
 
 @pytest.mark.parametrize("n, point", sorted(EVAL_PINS))
 def test_zn_eval_is_pinned_on_every_route(capsys, n, point):
-    methods = verify.METHODS if n <= 9 else (*verify.FAST_METHODS, "paths")
-    for method in methods:
+    # every route whose cap admits n
+    for method in (m for m, (_, cap) in pasep.ROUTES.items() if n <= cap):
         assert run(["zn", "--n", str(n), "--method", method, "--eval", point]) == 0
         assert capsys.readouterr().out == EVAL_PINS[n, point] + "\n", method
 
@@ -90,6 +95,42 @@ def test_zn_cap_violation(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "capped" in captured.err
+
+
+def test_route_table_covers_every_route():
+    assert list(pasep.ROUTES) == list(pasep.METHODS)
+    assert {kind for kind, _ in pasep.ROUTES.values()} == {"fast", "enumerative"}
+
+
+@pytest.mark.parametrize("method", pasep.ROUTES)
+def test_every_route_is_capped(monkeypatch, capsys, method):
+    _, cap = pasep.ROUTES[method]
+    argv = ["zn", "--n", str(cap + 1), "--method", method]
+
+    def never(N):
+        raise AssertionError(f"{method} ran above its cap")
+
+    monkeypatch.setitem(pasep.METHODS, method, never)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"capped at n <= {cap}" in captured.err
+    # the cap admits N = cap, and --force lifts it
+    monkeypatch.setitem(pasep.METHODS, method, lambda N: ONE)
+    assert run(["zn", "--n", str(cap), "--method", method]) == 0
+    assert run([*argv, "--force"]) == 0
+    assert capsys.readouterr().out == "1\n1\n"
+
+
+def test_bench_route_lists_follow_the_route_table(monkeypatch):
+    # bench/run.py keeps its own route lists; read them, do not change them
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
+    spec.loader.exec_module(bench)
+    kinds = {"fast": set(bench.FAST_ROUTES), "enumerative": set(bench.ENUM_ROUTES)}
+    for kind, routes in kinds.items():
+        assert routes == {m for m, (k, _) in pasep.ROUTES.items() if k == kind}, kind
 
 
 def test_usage_error():
@@ -280,7 +321,7 @@ print(json.dumps(loaded))
 
 
 def test_zn_jobs_load_neither_verify_nor_bijections():
-    fast = ["closed", "matrix", "normal", "hatted", "paths"]
+    fast = [m for m, (kind, _) in pasep.ROUTES.items() if kind == "fast"]
     jobs = [["zn", "--n", "3", "--method", m] for m in fast]
     jobs.append(["verify", "--suite", "symmetry", "--max-n", "1"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

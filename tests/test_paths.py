@@ -24,7 +24,6 @@ from pasep.paths import (
     _FAMILIES,
     _TAGS,
     _check_dyck,
-    _dyck_options,
     _family_options,
     _history_key,
     _laguerre_options,
@@ -34,18 +33,15 @@ from pasep.paths import (
     enumerate_B_star,
     enumerate_PN,
     enumerate_R_star,
-    enumerate_dyck,
     enumerate_laguerre,
     fine_poly_paths,
     history_scan,
     history_weight,
-    is_fine,
     is_valid_family_path,
     is_valid_history,
     jfraction_moment,
     motzkin_walks,
     path_weight,
-    peaks,
     returns,
     step_weight,
     step_weight_string,
@@ -54,7 +50,7 @@ from pasep.paths import (
     zn_histories,
     zn_paths,
 )
-from pasep.perms import enumerate_alternating, enumerate_permutations, zn_perm_asc312, zn_perm_wexcr
+from pasep.perms import enumerate_permutations, zn_perm_asc312, zn_perm_wexcr
 from pasep.polyring import (
     ALPHA_TILDE,
     BETA_TILDE,
@@ -71,6 +67,8 @@ from pasep.polyring import (
     substitute,
 )
 from pasep.tableaux import enumerate_tableaux, zn_tableaux
+
+from oracles import dyck_options, enumerate_alternating, enumerate_dyck, is_fine, peaks
 
 FIG1_HISTORY = (
     (UP, 1, 0), (UP, 1, 1), (LEVEL, 0, 0), (UP, 1, 0), (LEVEL, 1, 3),
@@ -135,7 +133,7 @@ RULE_KINDS = {
                _FAMILY_STEPS + _ODD_FAMILY_STEPS)
         for name, kinds in _FAMILIES.items()
     },
-    "dyck": (_is_dyck, _dyck_options, _LETTERS),
+    "dyck": (_is_dyck, dyck_options, _LETTERS),
     "bicolor": (is_valid_bicolor, _bicolor_options, _LETTERS),
 }
 

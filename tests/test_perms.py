@@ -7,9 +7,7 @@ from pasep.formulas import q_tangent_secant
 from pasep.perms import (
     _asc312_key,
     alternating_E,
-    enumerate_alternating,
     enumerate_permutations,
-    inverse,
     p31_2,
     perm_string,
     stats,
@@ -18,6 +16,8 @@ from pasep.perms import (
     zn_perm_wexcr,
 )
 from pasep.polyring import MPoly, ONE, Q, canonical_string, substitute, y_reflect
+
+from oracles import enumerate_alternating, inverse
 
 GOLDEN_Z1 = "y*b + a"
 GOLDEN_Z2 = "y^2*b^2 + y*q*a*b + y*a*b + y*a + y*b + a^2"

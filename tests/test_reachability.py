@@ -22,13 +22,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pasep import ROUTES
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pasep"
 
 JOBS = [
-    *(["zn", "--n", "3", "--method", m] for m in (
-        "closed", "matrix", "normal", "hatted", "paths", "perm-wex", "perm-asc", "tableaux", "histories",
-    )),
+    *(["zn", "--n", "3", "--method", m] for m in ROUTES),
     ["zn", "--n", "3", "--eval", "a=1/2,b=2,y=3,q=1/3"],
     ["verify", "--suite", "all", "--max-n", "3"],
     ["state", "--word", "DED"],
@@ -40,14 +40,6 @@ JOBS = [
 
 ALLOWED = {
     "cli.main",  # the console script; it only wraps cli.run in sys.exit
-    # definitions that tests compare the fast code against
-    "paths.enumerate_dyck",
-    "paths._dyck_options",  # the steps enumerate_dyck lists
-    "paths.is_fine",
-    "paths.peaks",
-    "perms.enumerate_alternating",
-    "perms.enumerate_alternating.rec",
-    "perms.inverse",  # the per-step FZ and FV scans in the tests read it
     "polyring.parse_poly",  # documented inverse of the canonical format
     "polyring.MPoly.num_terms",  # read by the benchmark tracer
     "polyring.MPoly.deg",  # used by the y_reflect property test

@@ -13,6 +13,8 @@ from pasep.paths import DOWN, LEVEL, UP, enumerate_laguerre
 from pasep.perms import enumerate_permutations
 from pasep.polyring import ONE, Y, as_poly, canonical_string
 
+from oracles import inverse
+
 
 def test_check_eq_records_rendered_detail_only_on_failure(monkeypatch):
     renders = []
@@ -91,7 +93,7 @@ def test_check_names_are_pinned():
 
 @pytest.mark.parametrize(
     "broken",
-    [lambda sigma: sigma, verify.perms.inverse, lambda sigma: tuple(-x for x in sigma)],
+    [lambda sigma: sigma, inverse, lambda sigma: tuple(-x for x in sigma)],
     ids=["identity", "inverse", "leaves-S_n"],
 )
 def test_broken_tilde_fails_only_the_tilde_check(monkeypatch, broken):
@@ -222,6 +224,32 @@ def test_suites_specialize_each_zn_once_per_point(monkeypatch):
     for suite in (verify.eulerian_suite, verify.stirling_suite, verify.moment_suite):
         assert suite().ok
     assert {(8, "a", "1"), (8, "y", "1")} <= set(made)
+    assert max(made.values()) == 1, made.most_common(3)
+
+
+@pytest.mark.parametrize(
+    "suite, builders",
+    [
+        (verify.identity_suite, {"hatted_closed_form": verify.ansatz}),
+        (verify.fine_suite, {"fine_from_Z": verify.formulas, "fine_poly_paths": verify.paths}),
+    ],
+    ids=["identities", "fine"],
+)
+def test_suites_build_each_value_once(monkeypatch, suite, builders):
+    # the hatted closed forms and the Fine polynomials are each read by two
+    # checks; each (builder, arguments) must be built once only
+    made = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            made[name, *args] += 1
+            return real(*args)
+        return wrapper
+
+    for name, module in builders.items():
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert suite().ok
+    assert {name for name, *_ in made} == set(builders)
     assert max(made.values()) == 1, made.most_common(3)
 
 
