@@ -17,9 +17,7 @@ point anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from . import METHODS, ROUTES, ansatz, formulas, paths, perms, tableaux, zn
 from .polyring import canonical_string, eval_rational
@@ -40,6 +38,8 @@ def non_negative_int(text: str) -> int:
 
 
 def _parse_point(text: str) -> dict[str, Fraction]:
+    from fractions import Fraction
+
     point = dict.fromkeys("abyq", Fraction(1))
     given = set()
     for piece in text.split(","):
@@ -134,6 +134,8 @@ OBJECTS = {
 def _cmd_enumerate(args) -> int:
     if _over_cap(args, f"object {args.object}", ENUMERATE_CAP):
         return EXIT_CAP
+    import json
+
     for record in OBJECTS[args.object](args.n):
         sys.stdout.write(json.dumps(record) + "\n")
     return 0

@@ -20,7 +20,6 @@ along the way.  Every ballot difference is qtools.ballot.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .paths import StepWeights
@@ -253,6 +252,8 @@ def stanton_moment_eval(N: int, a, b, q) -> Fraction:
     Raises SingularPoint when a = 0, q = 0 or any denominator factor
     vanishes; callers resample.
     """
+    from fractions import Fraction
+
     if N < 0:
         raise ValueError("N must be >= 0")
     a, b, q = Fraction(a), Fraction(b), Fraction(q)

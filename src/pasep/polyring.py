@@ -63,7 +63,6 @@ absolute value, so 2^(S t - 1) < |packed| < 2^(S (t+1) - 1).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import accumulate, zip_longest
 from operator import itemgetter
 from typing import Iterator, Mapping
@@ -387,6 +386,8 @@ def eval_rational(p: MPoly, a, b, y, q) -> Fraction:
     d_y^t_y d_q^t_q d_a^t_a d_b^t_b; the sum is taken in integers and
     reduced once.  0^0 = 1, as for Fraction.
     """
+    from fractions import Fraction
+
     point = [Fraction(v) for v in (y, q, a, b)]
     if not p._t:
         return Fraction(0)

@@ -28,7 +28,6 @@ The constructor, _make, _replace and from_json all validate.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -102,10 +101,14 @@ class PermutationTableau(_Tableau):
         return {"rows": list(self.rows), "fill": [list(r) for r in self.fill]}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, s: str) -> "PermutationTableau":
+        import json
+
         d = json.loads(s)
         if not (
             isinstance(d, dict)

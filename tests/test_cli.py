@@ -1,3 +1,5 @@
+import ast
+import functools
 import hashlib
 import importlib.util
 import json
@@ -305,37 +307,74 @@ def test_choices_follow_the_route_and_suite_tables():
     assert _choices("verify", "suite") == sorted(verify.SUITES)
 
 
+# The child reads sys.modules before any import of its own, after `import
+# pasep.cli`, and after each job; a job is one argv element, split on spaces.
 COLD_START = """
-import json, sys
+import sys
+WATCHED = ("fractions", "decimal", "numbers", "json", "pasep.verify", "pasep.bijections", "dataclasses")
+loaded = [[m for m in WATCHED if m in sys.modules]]
 import pasep.cli
+loaded.append([m for m in WATCHED if m in sys.modules])
 from contextlib import redirect_stdout
 from io import StringIO
-WATCHED = ("pasep.verify", "pasep.bijections", "dataclasses")
-loaded = []
-for argv in json.loads(sys.argv[1]):
+for job in sys.argv[1:]:
     with redirect_stdout(StringIO()):
-        assert pasep.cli.run(argv) == 0, argv
+        assert pasep.cli.run(job.split()) == 0, job
     loaded.append([m for m in WATCHED if m in sys.modules])
-print(json.dumps(loaded))
+print(repr(loaded))
 """
+STDLIB_ON_USE = {"fractions", "decimal", "numbers", "json"}
+# the jobs that need none of STDLIB_ON_USE, pasep.verify or pasep.bijections
+PLAIN_JOBS = [
+    *(f"zn --n 3 --method {m}" for m in pasep.ROUTES),
+    "special --what q-stirling --n 3",
+    "state --word DED",
+]
+COLD_JOBS = [
+    *PLAIN_JOBS,
+    "zn --n 3 --eval a=1/2",
+    "enumerate --object permutation --n 2",
+    "verify --suite symmetry --max-n 1",
+]
 
 
-def test_zn_jobs_load_neither_verify_nor_bijections():
-    fast = [m for m, (kind, _) in pasep.ROUTES.items() if kind == "fast"]
-    jobs = [["zn", "--n", "3", "--method", m] for m in fast]
-    jobs.append(["verify", "--suite", "symmetry", "--max-n", "1"])
+@functools.cache
+def _cold_start() -> dict[str, set[str]]:
+    """The watched modules that each step of one fresh process loads: the
+    interpreter's own start ("start"), `import pasep.cli` ("import"), then
+    each of COLD_JOBS in turn."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps(jobs)],
+        [sys.executable, "-c", COLD_START, *COLD_JOBS],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded[:-1] == [[]] * len(fast)
-    assert loaded[-1] == ["pasep.verify", "pasep.bijections"]
+    loaded = ast.literal_eval(proc.stdout)
+    steps = ["start", "import", *COLD_JOBS]
+    assert len(loaded) == len(steps)
+    return {
+        step: set(now) - set(before)
+        for step, before, now in zip(steps, [[], *loaded], loaded)
+    }
+
+
+def test_zn_jobs_load_neither_verify_nor_bijections():
+    new = _cold_start()
+    assert all(not new[job] for job in PLAIN_JOBS)
+    assert new["verify --suite symmetry --max-n 1"] == {"pasep.verify", "pasep.bijections"}
+
+
+def test_cold_start_loads_no_fractions_decimal_or_json():
+    new = _cold_start()
+    assert new["start"] == set()
+    assert new["import"] == set()
+    assert all(not new[job] for job in PLAIN_JOBS)
+    assert "fractions" in new["zn --n 3 --eval a=1/2"]
+    assert new["zn --n 3 --eval a=1/2"] <= STDLIB_ON_USE - {"json"}
+    assert new["enumerate --object permutation --n 2"] == {"json"}
 
 
 def test_partition_tables_script_runs():

@@ -12,6 +12,12 @@ each must be read again at least once over the job list: a cache is kept
 for a recursion, a hot table or a value that more than one caller asks
 for.  A cache that no job re-reads is dropped, or listed in COLD_CACHES
 with its reason.
+
+The nine routes to Z(N) are checked against each other, so what they share
+is pinned too: a fresh interpreter per route builds Z(5) under the same
+profile hook, and outside `polyring` exactly the pairs in SHARED may enter a
+common package function.  A fault in a shared function reaches both routes
+of its pair, so a new shared kernel widens SHARED by name.
 """
 
 import ast
@@ -94,6 +100,31 @@ print(json.dumps({
         for c in entered if os.path.dirname(c.co_filename) == package
     ),
 }))
+"""
+
+
+# route pair -> the package functions outside polyring that both enter at N = 5
+SHARED = {
+    ("closed", "hatted"): {"qtools.binomial"},
+    ("matrix", "paths"): {"paths.motzkin_sum"},
+    ("perm-wex", "perm-asc"): {"perms.enumerate_permutations"},
+}
+
+ROUTE_CHILD = """
+import json, os, sys
+import pasep
+entered = set()
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+sys.setprofile(hook)
+pasep.METHODS[sys.argv[1]](5)
+sys.setprofile(None)
+package = os.path.dirname(pasep.__file__)
+print(json.dumps(sorted(
+    (os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
+    for c in entered if os.path.dirname(c.co_filename) == package
+)))
 """
 
 
@@ -182,3 +213,33 @@ def test_every_unbounded_cache_is_keyed_by_ints():
                     keyed_otherwise.append(f"{path.stem}.{node.name}")
     assert found
     assert not keyed_otherwise, keyed_otherwise
+
+
+def _route_reach(route: str) -> set[str]:
+    """Every package function outside polyring that Z(5) by `route` enters,
+    in a fresh process; code that is no def (a lambda, a generator
+    expression) is named by its file, name and first line."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUTE_CHILD, route],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    defs = _defs()
+    names = {defs.get((file, line), f"{file}:{name}:{line}") for file, line, name in json.loads(proc.stdout)}
+    return {name for name in names if not name.startswith("polyring")}
+
+
+def test_routes_share_only_the_pinned_functions():
+    reach = {route: _route_reach(route) for route in ROUTES}
+    assert all(reach.values())
+    routes = list(ROUTES)
+    shared = {
+        (r, s): reach[r] & reach[s]
+        for i, r in enumerate(routes) for s in routes[i + 1:]
+        if reach[r] & reach[s]
+    }
+    assert shared == SHARED

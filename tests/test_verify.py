@@ -10,7 +10,8 @@ import pytest
 import pasep
 import pasep.verify as verify
 from pasep.paths import DOWN, LEVEL, UP, enumerate_laguerre
-from pasep.perms import enumerate_permutations
+from pasep.perms import enumerate_permutations, perm_string
+from pasep.cli import run
 from pasep.polyring import ONE, Y, as_poly, canonical_string
 
 from oracles import inverse
@@ -182,9 +183,13 @@ def test_fv_with_a_late_descent_cover_fails_its_law_and_round_trip(monkeypatch):
     assert verify.bijections.francon_viennot((3, 1, 2))[1] == (LEVEL, 1, 1)
     assert _fv_cover_one_late((3, 1, 2))[1] == (LEVEL, 1, 0)
     monkeypatch.setattr(verify.bijections, "francon_viennot", _fv_cover_one_late)
-    failed = {n for n, _ in verify.bijection_suite(max_n=3).failures}
-    assert {"FV weight law y^asc q^31-2, n=3", "FV round trip and validity, n=3"} <= failed
+    failed = dict(verify.bijection_suite(max_n=3).failures)
+    assert {"FV weight law y^asc q^31-2, n=3", "FV round trip and validity, n=3"} <= set(failed)
     assert not any(name.startswith("FZ") for name in failed)
+    # each detail names the first failing permutation, here one of S_3
+    s3 = {"sigma = " + perm_string(s) for s in enumerate_permutations(3)}
+    assert failed["FV weight law y^asc q^31-2, n=3"] in s3
+    assert failed["FV round trip and validity, n=3"] in s3
 
 
 def test_type_masks_shifted_by_one_bit_fail_the_lemmas(monkeypatch):
@@ -201,6 +206,40 @@ def test_type_masks_shifted_by_one_bit_fail_the_lemmas(monkeypatch):
     )
     assert {f"{lemma}, n={n}" for lemma in lemmas for n in (2, 3, 4)} <= failed
     assert all(name.startswith(lemmas) for name in failed)
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pasep."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and obj.__module__ == name:
+                    obj.cache_clear()
+
+
+def test_a_route_that_raises_fails_its_checks_and_the_report_still_prints(monkeypatch, capsys):
+    # C(6, 2) one too many, in every module that binds binomial: zn_closed(6)
+    # then leaves a remainder in its division by (1-q)^6
+    real = verify.binomial
+
+    def off_by_one(n, k):
+        return real(n, k) + ((n, k) == (6, 2))
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pasep") and getattr(module, "binomial", None) is real:
+            monkeypatch.setattr(module, "binomial", off_by_one)
+    _clear_package_caches()
+    try:
+        code = run(["verify", "--suite", "cross-methods", "--max-n", "6"])
+    finally:
+        monkeypatch.undo()
+        _clear_package_caches()
+    out, err = capsys.readouterr()
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert "FAIL  [cross-methods] Z6 matrix == closed: closed at N=6 raised NotDivisible: " in "\n".join(fails)
+    assert all("NotDivisible" in line for line in fails if "[cross-methods]" in line)
+    assert out.splitlines()[-1].startswith("suite cross-methods: ")
+    assert "Traceback" not in out + err
 
 
 def test_suites_specialize_each_zn_once_per_point(monkeypatch):
