@@ -87,9 +87,8 @@ def _cmd_zn(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    reports = verify.run_suite(args.suite, args.max_n)
-    failures = 0
-    for rep in reports:
+    checks = failures = 0
+    for rep in verify.run_suite(args.suite, args.max_n):
         failed = dict(rep.failures)
         for name in rep.checks:
             bad = failed.get(name)
@@ -97,8 +96,8 @@ def _cmd_verify(args) -> int:
                 print(f"ok    [{rep.suite}] {name}")
             else:
                 print(f"FAIL  [{rep.suite}] {name}: {bad}")
+        checks += len(rep.checks)
         failures += len(rep.failures)
-    checks = sum(len(rep.checks) for rep in reports)
     print(f"suite {args.suite}: {checks} checks, {failures} failures")
     return 0 if failures == 0 else 1
 

@@ -24,6 +24,18 @@ nonzero coefficients; the zero polynomial is the empty mapping.  Values are
 immutable after construction and every operation is a pure function, so
 everything here is safe for unrestricted concurrent use.
 
+The ring operations keep the zero-free invariant at the least cost per
+term.  __mul__ runs the operand with fewer terms in the outer loop and the
+longer one inside, unpacks each exponent tuple once, in the for target,
+and accumulates through the bound dict.get of its result.  It drops zero
+coefficients once, at the end, and never when a factor is a monomial,
+whose product cannot cancel.  __add__ copies the longer operand, adds the
+shorter into it the same way, and deletes only the sums that came out 0.
+substitute multiplies its groups of terms through __mul__ and sums them
+through __add__; only its fold of integer values keeps a loop of its own.
+Dict order is not part of a value: == compares mappings, and
+canonical_string sorts.
+
 The two exact conversions work on denser layouts, so that their inner loops
 run in C:
 
@@ -120,13 +132,19 @@ class MPoly:
 
     def __add__(self, other) -> "MPoly":
         other = as_poly(other)
-        t = dict(self._t)
-        for e, c in other._t.items():
-            nc = t.get(e, 0) + c
-            if nc:
-                t[e] = nc
-            elif e in t:
-                del t[e]
+        long, short = self._t, other._t
+        if len(long) < len(short):
+            long, short = short, long
+        t = dict(long)
+        get = t.get
+        zeros = []
+        for e, c in short.items():
+            nc = get(e, 0) + c
+            t[e] = nc
+            if not nc:
+                zeros.append(e)
+        for e in zeros:
+            del t[e]
         return MPoly._raw(t)
 
     __radd__ = __add__
@@ -142,15 +160,17 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         other = as_poly(other)
+        short, long = self._t, other._t
+        if len(short) > len(long):
+            short, long = long, short
         out: dict[Exponent, int] = {}
-        for e1, c1 in self._t.items():
-            for e2, c2 in other._t.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                elif e in out:
-                    del out[e]
+        get = out.get
+        for (y1, q1, a1, b1), c1 in short.items():
+            for (y2, q2, a2, b2), c2 in long.items():
+                e = (y1 + y2, q1 + q2, a1 + a2, b1 + b2)
+                out[e] = get(e, 0) + c1 * c2
+        if len(short) > 1 and 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
         return MPoly._raw(out)
 
     __rmul__ = __mul__
@@ -213,8 +233,9 @@ def substitute(p: MPoly, var: str, value) -> MPoly:
     """Replace every occurrence of `var` in p by `value`, expanded.
 
     An integer value, or a constant polynomial, folds into each coefficient
-    as c * value^e, with 0^0 = 1, so a term whose factor is 0 drops; any
-    other value is multiplied in by its powers, each built once."""
+    as c * value^e, with 0^0 = 1, so a term whose factor is 0 drops.  Any
+    other value multiplies, through MPoly.__mul__, each group of terms with
+    the same exponent e of var by value^e, each power built once."""
     idx = _VAR_INDEX[var]
     value = as_poly(value)
     if value._t.keys() <= {(0, 0, 0, 0)}:
@@ -229,22 +250,16 @@ def substitute(p: MPoly, var: str, value) -> MPoly:
         return MPoly(folded)
     groups: dict[int, dict[Exponent, int]] = {}
     for e, c in p._t.items():
-        rest = list(e)
-        k = rest[idx]
-        rest[idx] = 0
-        groups.setdefault(k, {})[tuple(rest)] = c
-    out: dict[Exponent, int] = {}
+        groups.setdefault(e[idx], {})[(*e[:idx], 0, *e[idx + 1:])] = c
+    out = ZERO
     power = ONE
     prev = 0
     for k in sorted(groups):
         for _ in range(k - prev):
             power = power * value
         prev = k
-        for e2, c2 in power._t.items():
-            for e1, c1 in groups[k].items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[e] = out.get(e, 0) + c1 * c2
-    return MPoly(out)
+        out = out + MPoly._raw(groups[k]) * power
+    return out
 
 
 def coeff_of(p: MPoly, var: str, k: int) -> MPoly:

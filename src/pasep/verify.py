@@ -13,6 +13,10 @@ Foata-Zeilberger and for the value k under Francon-Viennot, and _extrema
 returns the matching masks of sigma's extrema and fixed points by position
 or value.  It gives each of its checks one case per n, whose detail names
 the first permutation of S_n that fails it.
+
+A route that raises fails the check it was building (_route_value), and a
+suite that raises fails as a whole (run_suite): either way the report still
+prints.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import METHODS, ROUTES, ansatz, bijections, formulas, paths, perms
 from .paths import history_scan
@@ -539,7 +543,20 @@ SUITES["all"] = tuple(fn for name in
                       for fn in SUITES[name])
 
 
-def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
+def _report_of(suite: Callable[[int | None], VerifyReport], max_n: int | None) -> VerifyReport:
+    """suite(max_n), or, when it raises, a report under the suite's function
+    name whose one failing check names the exception."""
+    try:
+        return suite(max_n)
+    except Exception as exc:
+        rep = VerifyReport(suite.__name__)
+        rep.check("runs to its end", False, f"raised {type(exc).__name__}: {exc}")
+        return rep
+
+
+def run_suite(name: str, max_n: int | None = None) -> Iterator[VerifyReport]:
+    """The report of each suite of `name`, yielded as that suite ends.  A
+    suite that raises fails, and the suites after it still run."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [fn(max_n) for fn in SUITES[name]]
+    return (_report_of(suite, max_n) for suite in SUITES[name])

@@ -420,6 +420,48 @@ def test_ring_axioms(p, r, s):
     assert p * (r + s) == p * r + p * s
 
 
+monomials = st.builds(lambda e, c: MPoly({e: c}), exponents, st.integers(-9, 9).filter(bool))
+several = st.dictionaries(exponents, st.integers(-9, 9).filter(bool), min_size=2, max_size=6).map(MPoly)
+operands = st.one_of(several, several, monomials, st.just(ZERO))
+
+
+def _by_terms(*signed):
+    """The sum of sign * p over (sign, p), term by term, zeros dropped."""
+    terms = Counter()
+    for sign, p in signed:
+        for e, c in p.items():
+            terms[e] += sign * c
+    return MPoly(terms)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two operands, either one of them maybe a monomial or zero.  A third
+    of the pairs cancel in their sum (p, -p + s), and a third in their
+    product ((u + v)(u - v), whose cross terms cancel)."""
+    u, v = draw(operands), draw(operands)
+    kind = draw(st.sampled_from(("any", "sum cancels", "product cancels")))
+    if kind == "sum cancels":
+        v = _by_terms((-1, u), (1, v))
+    elif kind == "product cancels":
+        u, v = _by_terms((1, u), (1, v)), _by_terms((1, u), (-1, v))
+    return (v, u) if draw(st.booleans()) else (u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+@example((ONE + Q, ONE - Q))
+def test_products_and_sums_are_the_term_by_term_reference(pair):
+    # == compares the term dicts, so a stored zero coefficient fails too
+    p, r = pair
+    product = Counter()
+    for e1, c1 in p.items():
+        for e2, c2 in r.items():
+            product[tuple(i + j for i, j in zip(e1, e2))] += c1 * c2
+    assert p * r == MPoly(product)
+    assert p + r == _by_terms((1, p), (1, r))
+
+
 @settings(max_examples=80, deadline=None)
 @given(polys, st.integers(0, 4))
 def test_exact_div_round_trip(p, n):

@@ -216,7 +216,8 @@ def _clear_package_caches():
                     obj.cache_clear()
 
 
-def test_a_route_that_raises_fails_its_checks_and_the_report_still_prints(monkeypatch, capsys):
+@pytest.fixture
+def binomial_fault(monkeypatch):
     # C(6, 2) one too many, in every module that binds binomial: zn_closed(6)
     # then leaves a remainder in its division by (1-q)^6
     real = verify.binomial
@@ -229,16 +230,34 @@ def test_a_route_that_raises_fails_its_checks_and_the_report_still_prints(monkey
             monkeypatch.setattr(module, "binomial", off_by_one)
     _clear_package_caches()
     try:
-        code = run(["verify", "--suite", "cross-methods", "--max-n", "6"])
+        yield
     finally:
         monkeypatch.undo()
         _clear_package_caches()
+
+
+def test_a_route_that_raises_fails_its_checks_and_the_report_still_prints(binomial_fault, capsys):
+    code = run(["verify", "--suite", "cross-methods", "--max-n", "6"])
     out, err = capsys.readouterr()
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert "FAIL  [cross-methods] Z6 matrix == closed: closed at N=6 raised NotDivisible: " in "\n".join(fails)
     assert all("NotDivisible" in line for line in fails if "[cross-methods]" in line)
     assert out.splitlines()[-1].startswith("suite cross-methods: ")
+    assert "Traceback" not in out + err
+
+
+def test_a_suite_that_raises_fails_and_the_later_suites_still_print(binomial_fault, capsys):
+    # symmetry_suite builds zn_closed(6) outside any route guard: it fails as
+    # a whole, under its function name, and every suite after it still runs
+    code = run(["verify", "--suite", "all", "--max-n", "6"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert code == 1
+    assert "FAIL  [symmetry_suite] runs to its end: raised NotDivisible: " in out
+    assert {"[bijections]", "[decomposition]", "[identities]"} <= {line.split()[1] for line in lines[:-1]}
+    assert lines[-1] == f"suite all: {len(lines) - 1} checks, {len(fails)} failures"
     assert "Traceback" not in out + err
 
 
