@@ -18,9 +18,10 @@ Independently of any representation, the normal ordering of (yD + E)^N in
 the free algebra gives coefficients c[N][i, j] with
 (yD+E)^N = sum c[N][i,j] E^i D^j, built from c[N-1] by right multiplication
 with yD + E under D E = q E D + D + E alone; the partition function is
-obtained by replacing E^i D^j with a^i b^j.  Read as D E = E (qD + 1) + D,
-the relation moves E left past one D at a time, so a row sum_j c[i,j] D^j
-times yD + E is taken by Horner's rule from its top j down.
+obtained by replacing E^i D^j with a^i b^j, so the normal form, read so,
+is Z(N) itself.  Read as D E = E (qD + 1) + D, the relation moves E left
+past one D at a time, so a row sum_j c[i,j] D^j times yD + E is taken by
+Horner's rule from its top j down.
 
 Each c[n][i, j] is a polynomial in y and q with non-negative integer
 coefficients, held packed in one int (polyring's Kronecker substitution):
@@ -37,9 +38,12 @@ most floor(N^2/4) such pairs.
 A second, rook-placement flavored route normal orders (qy Dh + q Eh)^k for
 the shifted operators Dh = ((q-1) D + I)/q, Eh = ((q-1) E + I)/q whose
 coefficients d[k][i, j] satisfy a three-term recurrence solved by
-q-binomial times the ballot-difference kernel M.  That route sums monomials
-in at and y bt, so it works in the shifted basis and leaves it through
-polyring.from_shifted; the matrices above expand at and bt in a, b and q.
+q-binomial times the ballot-difference kernel M.  Each level d[k] is one
+polynomial too, with d[k][i, j] as its a^i b^j part, and the recurrence
+moves each of its terms to the cells that term feeds.  That route sums
+monomials in at and y bt, so it works in the shifted basis and leaves it
+through polyring.from_shifted; the matrices above expand at and bt in a, b
+and q.
 """
 
 from __future__ import annotations
@@ -109,31 +113,14 @@ def state_weight(word: str) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-Coeffs = dict[tuple[int, int], MPoly]  # (i, j) -> coefficient of E^i D^j
+def normal_order(N: int) -> MPoly:
+    """Z(N) as the normal form of (yD + E)^N: sum c[N][i, j] a^i b^j.
 
-
-def _unpack(packed: int, nb: int, W: int) -> MPoly:
-    # one y row of W slots at a time, each read up to its top q only: most of
-    # the (N+1) W slots of a flat read would be empty
-    row_bits = 8 * nb * W
-    mask = (1 << row_bits) - 1
-    terms = {}
-    ey = 0
-    while packed:
-        for eq, c in enumerate(unpack(packed & mask, nb)):
-            if c:
-                terms[ey, eq, 0, 0] = c
-        packed >>= row_bits
-        ey += 1
-    return MPoly._raw(terms)
-
-
-def normal_order(N: int) -> Coeffs:
-    """Coefficients c[N][i, j] of (yD + E)^N = sum c E^i D^j.
-
-    Computed over the free algebra by right multiplication with yD + E, in
-    the packed layout of the module docstring; the coefficients are
-    polynomials in y and q with non-negative integer coefficients.
+    Each c[N][i, j] is computed over the free algebra by right
+    multiplication with yD + E, in the packed layout of the module
+    docstring, and read back one y row at a time, each up to its top q
+    only (most of the (N+1) W slots of a flat read would be empty), as the
+    a^i b^j part of the result.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -153,13 +140,22 @@ def normal_order(N: int) -> Coeffs:
             out.append([a + b for a, b in zip_longest(carry, d, fillvalue=0)])
             carry = e
         rows = [*out, carry]
-    return {(i, j): _unpack(c, nb, W) for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    row_bits = S * W
+    mask = (1 << row_bits) - 1
+    terms = {}
+    for i, row in enumerate(rows):
+        for j, packed in enumerate(row):
+            ey = 0
+            while packed:
+                for eq, c in enumerate(unpack(packed & mask, nb)):
+                    if c:
+                        terms[ey, eq, i, j] = c
+                packed >>= row_bits
+                ey += 1
+    return MPoly._raw(terms)
 
 
-def zn_normal(N: int) -> MPoly:
-    """Partition function assembled from the normal form: sum c[i,j] a^i b^j."""
-    return MPoly({(ey, eq, i, j): v for (i, j), c in normal_order(N).items()
-                  for (ey, eq, _, _), v in c.items()})
+zn_normal = normal_order  # the normal route: the normal form, read as a^i b^j, is Z(N)
 
 
 # ---------------------------------------------------------------------------
@@ -167,31 +163,31 @@ def zn_normal(N: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-def _hatted_step(prev: Coeffs) -> Coeffs:
-    out: Coeffs = {}
-
-    def add(key, val):
-        out[key] = out.get(key, ZERO) + val
-
-    for (i, j), c in prev.items():
-        add((i, j + 1), c)
-        add((i + 1, j), monomial(1, eq=j) * c)
-        if j >= 1:
-            add((i, j - 1), Y * (ONE - monomial(1, eq=j)) * c)
-    return {key: c for key, c in out.items() if c}
+def _hatted_step(prev: MPoly) -> MPoly:
+    # each term of d[m] at cell (i, j) moves to (i, j+1), to (i+1, j) times
+    # q^j, and for j >= 1 to (i, j-1) times y(1 - q^j)
+    out: dict = {}
+    get = out.get
+    for (ey, eq, i, j), c in prev.items():
+        moves = [((ey, eq, i, j + 1), c), ((ey, eq + j, i + 1, j), c)]
+        if j:
+            moves += [((ey + 1, eq, i, j - 1), c), ((ey + 1, eq + j, i, j - 1), -c)]
+        for e, v in moves:
+            out[e] = get(e, 0) + v
+    return MPoly(out)
 
 
 @lru_cache(maxsize=None)
-def _hatted_d(m: int) -> Coeffs:
+def _hatted_d(m: int) -> MPoly:
     # d[m] from the cached d[m-1]: hatted_coeffs asks in increasing m, so one level deep
-    return {(0, 0): ONE} if m == 0 else _hatted_step(_hatted_d(m - 1))
+    return ONE if m == 0 else _hatted_step(_hatted_d(m - 1))
 
 
-def hatted_coeffs(k: int) -> list[Coeffs]:
-    """[d[0], ..., d[k]], with d[m][i, j] by the recurrence
-    d[m+1][i,j] = d[m][i,j-1] + q^j d[m][i-1,j] + y(1 - q^(j+1)) d[m][i,j+1]
-    from d[0] = {(0,0): 1}, each d[m] built once per process from d[m-1].
-    The dicts are the cached ones: callers must not mutate them."""
+def hatted_coeffs(k: int) -> list[MPoly]:
+    """[d[0], ..., d[k]], each level d[m] = sum d[m][i, j] a^i b^j by the
+    recurrence d[m+1][i,j] = d[m][i,j-1] + q^j d[m][i-1,j]
+    + y(1 - q^(j+1)) d[m][i,j+1] from d[0] = 1, each built once per
+    process from d[m-1]."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return [_hatted_d(m) for m in range(k + 1)]
@@ -210,8 +206,9 @@ def zn_hatted(N: int) -> MPoly:
     (1-q)^N Z equals sum over k of C(N,k) (1+y)^(N-k) (-1)^k times the
     (0,0) expectation of (qy Dh + q Eh)^k, and that expectation expands as
     sum d[k][i,j] (-at)^i (-y bt)^j; the parity of d makes all signs cancel.
-    Each at^i (y bt)^j stays one monomial, at and bt held in the a and b
-    slots, and from_shifted expands the sum and divides it by (1-q)^N.
+    With at and bt held in the a and b slots, d[k](at, y bt) is d[k] with
+    each term's b exponent added to its y exponent, and from_shifted
+    expands the sum and divides it by (1-q)^N.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -220,8 +217,6 @@ def zn_hatted(N: int) -> MPoly:
     for _ in range(N):
         one_plus_y_pow.append(one_plus_y_pow[-1] * (ONE + Y))
     for k, d in enumerate(hatted_coeffs(N)):
-        inner = ZERO
-        for (i, j), c in d.items():
-            inner = inner + c * monomial(1, ey=j, ea=i, eb=j)
+        inner = MPoly._raw({(ey + eb, eq, ea, eb): c for (ey, eq, ea, eb), c in d.items()})
         acc = acc + binomial(N, k) * one_plus_y_pow[N - k] * inner
     return from_shifted(acc, N)

@@ -135,7 +135,7 @@ def zn_cas1(N: int) -> MPoly:
     both exact divisions are performed before returning Z(N)|_{a=b=1}.
     """
     if N < 0:
-        raise ValueError("zn_cas1 requires N >= 0")
+        raise ValueError("N must be >= 0")
     acc = ZERO
     M = N + 1
     for k in range(M + 1):

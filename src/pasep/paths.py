@@ -33,18 +33,16 @@ Three layers live here:
 * Plain Dyck paths with their returns, Fine paths, and the q=0 Dyck-pair
   evaluation of the partition function.  Returns are a step weight (a on
   each down step that lands at 0), so dyck_pair_sum_q0 is one motzkin_sum
-  per length.  A peak spans two steps, so fine_poly_paths keys each prefix
-  by its last step as well as its height, and never takes a peak that lands
-  at 0 (a hill); the tests hold the definitions by listed Dyck paths.
+  per length, and the Fine polynomials are the moments of one J-fraction
+  (fine_poly_paths); the tests hold the definitions by listed Dyck paths.
 
 Every transfer operator (families P, R, B and their cardinalities,
 J-fraction recurrences, the matrices of the ansatz module) is one
 StepWeights: its up, level and down weights as functions of the height.
 Every sum of products of step weights is one call of motzkin_sum, a
 height-indexed dynamic program over Motzkin paths that drops every height
-above the number of steps left; fine_poly_paths is the same pass with the
-last step in its key.  Every explicit path (Laguerre histories, families
-P/R*/B* and bicolor paths) is enumerated by motzkin_walks with the
+above the number of steps left.  Every explicit path (Laguerre histories,
+families P/R*/B* and bicolor paths) is enumerated by motzkin_walks with the
 same pruning, which joins each listed prefix of the first half of the
 steps to each listed suffix of the second half, from one options function
 per kind of path that lists the steps allowed at each height.  Every
@@ -521,27 +519,23 @@ def returns(steps) -> int:
     return ret
 
 
-def fine_poly_paths(n: int) -> MPoly:
-    """F_n(y): peak distribution over Fine paths of length 2n.
+# Fine paths as Motzkin paths: no level step at height 0, level 1 + y above
+# it, and down y.
+_FINE = StepWeights(up=lambda h: ONE, level=lambda h: ONE + Y if h else ZERO, down=lambda h: Y)
 
-    One pass over the 2n steps that counts the prefixes by height, whether
-    the last step was up, and peaks.  A down step after an up step makes a
-    peak, and one that lands at 0 (a hill) is never taken.  As in
-    motzkin_sum, no prefix climbs above the number of steps left.
+
+def fine_poly_paths(n: int) -> MPoly:
+    """F_n(y): peak distribution over Fine paths of length 2n, the n-th
+    moment of _FINE.
+
+    A Fine path is a sequence of primes U P D whose Dyck path P is not
+    empty (no hill), so, with x marking half the length,
+    F = 1/(1 - x(N - 1)), where N is the peak polynomial of all Dyck paths.
+    The first-return decomposition gives N - 1 = y x T with
+    T = 1/(1 - (1 + y)x - y x^2 T).  Together these are the J-fraction
+    with b_0 = 0, b_h = 1 + y above 0, and lambda_h = y.
     """
-    if n < 0:
-        raise ValueError("path length must be >= 0")
-    cur = Counter({(0, False, 0): 1})  # (height, last step up, peaks) -> prefixes
-    for left in range(2 * n - 1, -1, -1):
-        nxt: Counter = Counter()
-        for (h, up, k), c in cur.items():
-            if h < left:
-                nxt[h + 1, True, k] += c
-            if h > 1 or (h == 1 and not up):
-                nxt[h - 1, False, k + up] += c
-        cur = nxt
-    # every whole path ends at height 0, after a down step unless it is empty
-    return MPoly({(k, 0, 0, 0): c for (_, _, k), c in cur.items()})
+    return motzkin_sum(n, lambda k: _FINE)
 
 
 # Returns to height 0 as a step weight: a on every down step from height 1.

@@ -196,7 +196,6 @@ def _asc312_key(sigma: Perm) -> Exponent:
     return rises, p312, s - 1, t - 1
 
 
-@lru_cache(maxsize=None)
 def zn_perm_asc312(N: int) -> MPoly:
     """Partition function from ascents and 31-2 patterns.
 

@@ -13,8 +13,9 @@ whose sum is made of monomials in at and bt stays in the shifted basis
 instead, Z[y, q, at, bt] with at and bt in the a and b exponent slots, and
 leaves it once through from_shifted(p, N), which returns p / (1 - q)^N in
 a and b.  That saves expanding every power of at and bt in a, b and q
-before the sum.  Routes whose factors mix at, bt and q^h (the transfer
-operators) use the expanded forms.  Division by powers of (1 - q) is the
+before the sum.  The transfer operators of the matrix and paths routes
+expand at and bt in their step weights; summing them in the shifted basis
+instead waits on ROADMAP item 1.  Division by powers of (1 - q) is the
 single place where denominators get discharged, and it insists on a zero
 remainder so that a transcription error in any formula fails loudly
 instead of producing a wrong polynomial.

@@ -498,9 +498,9 @@ def identity_suite(max_n: int | None = None) -> VerifyReport:
     closed_form = cache(ansatz.hatted_closed_form)  # both hatted checks read most (k, i, j)
     name = f"hatted recurrence equals closed form, k<={cap}"
     for k, d in enumerate(ansatz.hatted_coeffs(cap) if cap >= 0 else []):
-        for i in range(k + 1):
-            for j in range(k + 1):
-                rep.check(name, d.get((i, j), ZERO) == closed_form(k, i, j))
+        want = MPoly({(ey, eq, i, j): c for i in range(k + 1) for j in range(k + 1)
+                      for (ey, eq, _, _), c in closed_form(k, i, j).items()})
+        rep.check_eq(name, d, want)
     name = "hatted splitting identities"
     for k in range(_cap(8, max_n) + 1):
         for i in range(k + 2):

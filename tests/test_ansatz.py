@@ -75,21 +75,17 @@ def test_zn_matrix_matches_closed():
 
 
 def test_normal_order_base():
-    c = normal_order(1)
-    assert c == {(0, 1): Y, (1, 0): ONE}
+    # E^i D^j read as a^i b^j
+    assert normal_order(0) == ONE
+    assert normal_order(1) == Y * B + A
     # (yD + E)^2 = y^2 D^2 + y DE + y ED + E^2 with DE = q ED + D + E
-    assert normal_order(2) == {
-        (0, 2): Y * Y,
-        (1, 1): Y * (ONE + Q),
-        (0, 1): Y,
-        (1, 0): Y,
-        (2, 0): ONE,
-    }
+    assert normal_order(2) == Y * Y * B * B + Y * (ONE + Q) * A * B + Y * B + Y * A + A * A
 
 
 def _normal_order_by_rewriting(N):
-    """c[N] by brute force: expand (yD + E)^N into words, then rewrite the
-    first D E of a word as q E D + D + E until every word reads E^i D^j."""
+    """The normal form of (yD + E)^N by brute force: expand it into words,
+    then rewrite the first D E of a word as q E D + D + E until every word
+    reads E^i D^j, which is read as a^i b^j."""
     words = {"": ONE}
     for _ in range(N):
         nxt = {}
@@ -97,13 +93,12 @@ def _normal_order_by_rewriting(N):
             for letter, f in (("D", Y), ("E", ONE)):
                 nxt[w + letter] = nxt.get(w + letter, ZERO) + f * c
         words = nxt
-    done = {}
+    done = ZERO
     while words:
         w, c = words.popitem()
         k = w.find("DE")
         if k < 0:
-            key = (w.count("E"), w.count("D"))
-            done[key] = done.get(key, ZERO) + c
+            done = done + c * A ** w.count("E") * B ** w.count("D")
             continue
         head, tail = w[:k], w[k + 2 :]
         for v, f in ((head + "ED" + tail, Q), (head + "D" + tail, ONE), (head + "E" + tail, ONE)):
@@ -121,7 +116,7 @@ def test_normal_order_nonnegative_and_assembles():
     # is positive, all of them add up to (N+1)!, the q-degree is
     # floor(N^2/4) and the y-degree N
     for N in range(16):
-        terms = [(e, v) for poly in normal_order(N).values() for e, v in poly.items()]
+        terms = list(normal_order(N).items())
         assert all(v > 0 for _, v in terms), N
         assert sum(v for _, v in terms) == math.factorial(N + 1), N
         if N <= 12:
@@ -132,8 +127,9 @@ def test_normal_order_nonnegative_and_assembles():
 
 
 def test_hatted_base_cases():
-    assert hatted_coeffs(0) == [{(0, 0): ONE}]
-    assert hatted_coeffs(1) == [{(0, 0): ONE}, {(0, 1): ONE, (1, 0): ONE}]
+    # d[m][i, j] read as the a^i b^j part of level m
+    assert hatted_coeffs(0) == [ONE]
+    assert hatted_coeffs(1) == [ONE, A + B]
 
 
 def test_hatted_closed_form_matches_recurrence():
@@ -141,9 +137,11 @@ def test_hatted_closed_form_matches_recurrence():
     assert len(ds) == 9
     for k, d in enumerate(ds):
         assert hatted_coeffs(k) == ds[: k + 1]
+        want = ZERO
         for i in range(k + 1):
             for j in range(k + 1):
-                assert d.get((i, j), ZERO) == hatted_closed_form(k, i, j), (k, i, j)
+                want = want + hatted_closed_form(k, i, j) * A**i * B**j
+        assert d == want, k
 
 
 def _frame_depth() -> int:

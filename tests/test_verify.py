@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +14,7 @@ import pasep.verify as verify
 from pasep.paths import DOWN, LEVEL, UP, enumerate_laguerre
 from pasep.perms import enumerate_permutations, perm_string
 from pasep.cli import run
-from pasep.polyring import ONE, Y, as_poly, canonical_string
+from pasep.polyring import A, ONE, Y, as_poly, canonical_string
 
 from oracles import inverse
 
@@ -63,6 +65,21 @@ def test_one_failing_case_fails_only_its_check(monkeypatch):
     assert rep.failures == [("q-binomial lemmas, m<=8", "")]
 
 
+def test_a_stray_hatted_cell_fails_the_closed_form_check(monkeypatch):
+    # each level d[m] gains a term at cell (m + 1, 0), where no closed form
+    # of level m has a term: the level compared whole must fail
+    ansatz = verify.ansatz
+    step = ansatz._hatted_step
+    monkeypatch.setattr(ansatz, "_hatted_step", lambda prev: step(prev) + A ** (prev.deg("a") + 2))
+    ansatz._hatted_d.cache_clear()
+    try:
+        rep = verify.identity_suite(max_n=3)
+    finally:
+        monkeypatch.undo()
+        ansatz._hatted_d.cache_clear()
+    assert [name for name, _ in rep.failures] == ["hatted recurrence equals closed form, k<=3"]
+
+
 def test_verify_and_the_cli_share_one_route_table():
     assert pasep.METHODS is verify.METHODS
     assert len(pasep.METHODS) == 9
@@ -80,6 +97,30 @@ def test_zn_checks_its_input():
 def test_every_route_rejects_negative_n_alike(route):
     with pytest.raises(ValueError, match=r"^N must be >= 0$"):
         route(-1)
+
+
+def _public_zn_functions():
+    # every public zn_* function that some pasep module defines, by its name
+    found = {}
+    for info in pkgutil.iter_modules(pasep.__path__):
+        module = importlib.import_module(f"pasep.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("zn_") and callable(obj) and obj.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+PUBLIC_ZN = _public_zn_functions()
+
+
+def test_every_route_is_a_public_zn_function():
+    assert {id(fn) for fn in pasep.METHODS.values()} <= {id(fn) for fn in PUBLIC_ZN.values()}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_ZN))
+def test_every_public_zn_rejects_negative_n_alike(name):
+    with pytest.raises(ValueError, match=r"^N must be >= 0$"):
+        PUBLIC_ZN[name](-1)
 
 
 # SHA-256 of the newline-joined check names of `verify --suite all --max-n 5`,
